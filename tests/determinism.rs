@@ -238,3 +238,118 @@ fn instrumented_runs_render_byte_identical_dumps() {
     assert!(text_a.contains(&format!("counter epoch_merges {total}")));
     assert!(text_a.contains(&format!("hist eps_spend_microeps count={total}")));
 }
+
+const PARITY_POPULATION: u64 = 16;
+const PARITY_ROUNDS: u64 = 30;
+
+/// FNV-1a over the parameters' IEEE-754 bits: a compact bitwise fingerprint.
+fn params_digest(params: &Vector) -> u64 {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for v in params.as_slice() {
+        for byte in v.to_bits().to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    h
+}
+
+fn parity_runtime(deadline_epochs: u32) -> AggRuntime<MulticlassLogistic> {
+    use crowd_ml::core::config::RoundSettings;
+    let model = MulticlassLogistic::new(DETERMINISM_DIM, DETERMINISM_CLASSES).unwrap();
+    let rounds = RoundSettings::new(PARITY_POPULATION)
+        .with_select_fraction(0.5)
+        .with_deadline_epochs(deadline_epochs)
+        .with_seed(0xA11C_E5ED);
+    let config = ServerConfig::new()
+        .with_rate_constant(1.0)
+        .with_rounds(rounds);
+    AggRuntime::new(Server::new(model, config).unwrap()).unwrap()
+}
+
+/// Device `device`'s contribution to round `round`, as a checkin payload.
+fn parity_payload(device: u64, round: u64, iteration: u64) -> CheckinPayload {
+    let mut payload = determinism_payload(device, round);
+    payload.checkout_iteration = iteration;
+    payload.nonce = round * PARITY_POPULATION + device + 1;
+    payload
+}
+
+/// Submits `payload` to the runtime's open round and expects an ack.
+fn parity_submit(rt: &AggRuntime<MulticlassLogistic>, payload: &CheckinPayload) {
+    use crowd_ml::agg::RoundSubmitOutcome;
+    use crowd_ml::core::server::PendingSubmission;
+    let info = rt.round_info().unwrap();
+    let cohort = crowd_ml::rounds::cohort(info.seed, info.population, info.select_fraction);
+    let gradient = payload.gradient.to_dense();
+    let masks =
+        crowd_ml::rounds::net_mask(info.seed, payload.device_id, &cohort, gradient.len());
+    let submission = PendingSubmission {
+        device_id: payload.device_id,
+        nonce: payload.nonce,
+        checkout_iteration: payload.checkout_iteration,
+        words: crowd_ml::rounds::mask(gradient.as_slice(), &masks),
+        num_samples: payload.num_samples as u32,
+        error_count: payload.error_count,
+        label_counts: payload.label_counts.clone(),
+    };
+    match rt.submit_round(info.round_id, submission).unwrap() {
+        RoundSubmitOutcome::Acked(outcome) => assert!(outcome.accepted && !outcome.deduped),
+        other => panic!("expected an ack, got {other:?}"),
+    }
+}
+
+/// Parity anchor for the round protocol: a fixed-seed, sequential rounds run
+/// on `AggRuntime` ends in pinned parameter bits. One run completes every
+/// cohort; the other drops one member out of every round, so each round ends
+/// by deadline expiry, driven by free-run checkins from a non-member. Any
+/// change to the round submission path, the finalize fold or the apply step
+/// that moves a single bit fails here.
+#[test]
+fn sequential_rounds_run_matches_pinned_digest() {
+    let complete = parity_runtime(8);
+    for round in 0..PARITY_ROUNDS {
+        let info = complete.round_info().unwrap();
+        assert_eq!(info.round_id, round + 1);
+        let cohort = crowd_ml::rounds::cohort(info.seed, info.population, info.select_fraction);
+        for &device in &cohort {
+            parity_submit(&complete, &parity_payload(device, round, complete.iteration()));
+        }
+        assert_eq!(complete.round_info().unwrap().round_id, round + 2);
+    }
+    assert_eq!(complete.iteration(), PARITY_ROUNDS);
+    let complete_digest = params_digest(&complete.params());
+    complete.shutdown();
+
+    let dropout = parity_runtime(2);
+    for round in 0..PARITY_ROUNDS {
+        let info = dropout.round_info().unwrap();
+        let cohort = crowd_ml::rounds::cohort(info.seed, info.population, info.select_fraction);
+        let outsider = (0..PARITY_POPULATION)
+            .find(|d| !cohort.contains(d))
+            .expect("a fraction-0.5 cohort leaves someone out");
+        // The last member drops out mid-round; the others submit.
+        for &device in &cohort[..cohort.len() - 1] {
+            parity_submit(&dropout, &parity_payload(device, round, dropout.iteration()));
+        }
+        let mut step = 0;
+        while dropout.round_info().unwrap().round_id == info.round_id {
+            let mut free = parity_payload(outsider, round, dropout.iteration());
+            free.nonce = 0;
+            free.gradient = determinism_payload(outsider, 1000 + round * 8 + step)
+                .gradient;
+            assert!(dropout.checkin(free).unwrap().accepted);
+            step += 1;
+        }
+        assert!(step > 0, "only the deadline ends a round with a dropout");
+    }
+    let dropout_digest = params_digest(&dropout.params());
+    assert_eq!(dropout.stats().get("rounds_finalized"), PARITY_ROUNDS);
+    dropout.shutdown();
+
+    assert_eq!(
+        (complete_digest, dropout_digest),
+        (0x92F155DF0F943B0C, 0x702069F35E4F652E),
+        "pinned parameter digests moved"
+    );
+}
