@@ -128,7 +128,7 @@ pub enum SubmitRejection {
     Refused(AggError),
 }
 
-/// How [`AggRuntime::submit_round`] answered a masked round submission.
+/// How [`AggRuntime::submit_round`] answered a round submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundSubmitOutcome {
     /// The contribution stands (freshly accepted, or a deduplicated retry of
@@ -388,45 +388,33 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
         *self.inner.rounds.read()
     }
 
-    /// Submits one masked round contribution.
+    /// Submits one round contribution: an ordinary checkin payload, in any
+    /// gradient encoding, tagged with the round it names.
     ///
     /// Unlike free-run checkins, round submissions bypass the ingest queue and
-    /// shard accumulators: the masked words are opaque until the whole cohort
-    /// is unmasked together, so the submission goes straight into the core
+    /// shard accumulators: the densified gradient goes straight into the core
     /// server's pending set (WAL-logged first when durable) and is applied —
     /// and ε-charged — when the round finalizes. If this submission completes
     /// the cohort, the round is finalized before the ack returns.
     pub fn submit_round(
         &self,
         round_id: u64,
-        submission: PendingSubmission,
+        payload: CheckinPayload,
     ) -> Result<RoundSubmitOutcome> {
         let inner = &self.inner;
-        if submission.words.len() != inner.param_dim {
-            return Err(AggError::Invalid(format!(
-                "round submission has {} masked words, expected {}",
-                submission.words.len(),
-                inner.param_dim
-            )));
-        }
-        if submission.label_counts.len() != inner.num_classes {
-            return Err(AggError::Invalid(format!(
-                "round submission reports {} label counts, expected {}",
-                submission.label_counts.len(),
-                inner.num_classes
-            )));
-        }
-        if submission.num_samples == 0 {
+        if inner.rounds.read().is_none() {
             return Err(AggError::Invalid(
-                "round submission must cover at least one sample".into(),
+                "round submission to a server without rounds".into(),
             ));
         }
-        if self.budget_exhausted(submission.device_id) {
+        self.validate(&payload)?;
+        if self.budget_exhausted(payload.device_id) {
             inner.metrics.incr(CounterId::BudgetRejections);
             return Err(AggError::BudgetExhausted {
-                device_id: submission.device_id,
+                device_id: payload.device_id,
             });
         }
+        let submission = PendingSubmission::from_payload(payload);
         let device_id = submission.device_id;
         let checkout_iteration = submission.checkout_iteration;
         let logged = inner.store.is_some().then(|| submission.clone());
@@ -511,6 +499,12 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
                 "checkin must cover at least one sample".into(),
             ));
         }
+        if !payload.gradient.is_finite() {
+            self.inner.metrics.incr(CounterId::NonfiniteRejections);
+            return Err(AggError::Invalid(
+                "checkin gradient has a NaN or infinite coordinate".into(),
+            ));
+        }
         Ok(())
     }
 
@@ -570,8 +564,8 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
     }
 
     /// Settles the open cohort round immediately, exactly as a graceful
-    /// shutdown would: pending submissions are finalized (their masks
-    /// cancelled, their ε charged) and the successor round is published. A
+    /// shutdown would: pending submissions are finalized (their ε charged)
+    /// and the successor round is published. A
     /// no-op when rounds are disabled or nothing is pending. Harnesses call
     /// this before reading the ledger of a still-running server, so
     /// acknowledged round submissions are never observed uncharged.
@@ -642,7 +636,7 @@ impl<M: Model + Send + 'static> Drop for AggRuntime<M> {
 
 /// Finalizes the open round while holding the core lock: logs the round
 /// boundary, publishes the successor round's parameters, and — when the
-/// cohort contributed — pushes the unmasked finalization epoch through the
+/// cohort contributed — pushes the finalization epoch through the
 /// standard durable apply path. Consumes the lock.
 fn finalize_round_locked<M: Model>(inner: &Inner<M>, mut core: MutexGuard<'_, Server<M>>) {
     let start = inner.metrics.start();
@@ -1331,28 +1325,16 @@ mod tests {
         )
     }
 
-    /// A masked submission for `device_id` against the runtime's open round,
+    /// A submission for `device_id` against the runtime's open round,
     /// carrying the given gradient.
-    fn masked(
+    fn round_payload(
         rt: &AggRuntime<MulticlassLogistic>,
         device_id: u64,
         gradient: &[f64],
-    ) -> (u64, PendingSubmission) {
-        let info = rt.round_info().unwrap();
-        let cohort = crowd_rounds::cohort(info.seed, info.population, info.select_fraction);
-        let masks = crowd_rounds::net_mask(info.seed, device_id, &cohort, gradient.len());
-        (
-            info.round_id,
-            PendingSubmission {
-                device_id,
-                nonce: 500 + device_id,
-                checkout_iteration: rt.iteration(),
-                words: crowd_rounds::mask(gradient, &masks),
-                num_samples: 2,
-                error_count: 1,
-                label_counts: vec![1, 1, 0],
-            },
-        )
+    ) -> (u64, CheckinPayload) {
+        let mut p = payload(device_id, gradient.to_vec(), rt.iteration());
+        p.nonce = 500 + device_id;
+        (rt.round_info().unwrap().round_id, p)
     }
 
     #[test]
@@ -1362,7 +1344,7 @@ mod tests {
         assert_eq!(rt.round_info().unwrap().round_id, 1);
         let gradient = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0];
         for device in 0..3u64 {
-            let (round_id, sub) = masked(&rt, device, &gradient);
+            let (round_id, sub) = round_payload(&rt, device, &gradient);
             match rt.submit_round(round_id, sub).unwrap() {
                 RoundSubmitOutcome::Acked(outcome) => {
                     assert!(outcome.accepted);
@@ -1372,7 +1354,7 @@ mod tests {
             }
         }
         // The third submission completed the cohort: one epoch applied, the
-        // next round opened, and the step equals the unmasked mean gradient
+        // next round opened, and the step equals the mean gradient
         // (all three sent the same one) with η(1) = 1.
         assert_eq!(rt.iteration(), 1);
         assert_eq!(rt.round_info().unwrap().round_id, 2);
@@ -1388,7 +1370,7 @@ mod tests {
     fn round_retry_is_deduped_and_stale_round_is_outdated() {
         let rt = runtime(round_config(3, 1.0, 100));
         let gradient = [0.5; 6];
-        let (round_id, sub) = masked(&rt, 0, &gradient);
+        let (round_id, sub) = round_payload(&rt, 0, &gradient);
         assert!(matches!(
             rt.submit_round(round_id, sub.clone()).unwrap(),
             RoundSubmitOutcome::Acked(o) if !o.deduped
@@ -1417,13 +1399,13 @@ mod tests {
         let rt = runtime(round_config(4, 1.0, 100));
         let gradient = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0];
         for device in 0..2u64 {
-            let (round_id, sub) = masked(&rt, device, &gradient);
+            let (round_id, sub) = round_payload(&rt, device, &gradient);
             rt.submit_round(round_id, sub).unwrap();
         }
         assert_eq!(rt.iteration(), 0);
         rt.shutdown();
         // Shutdown settled the half-full round: the two acknowledged
-        // submissions were applied (mask compensation recovered their sum).
+        // submissions were applied.
         assert_eq!(rt.iteration(), 1);
         assert!((rt.params()[0] + 1.0).abs() < 1e-12);
         assert_eq!(rt.stats().get("rounds_finalized"), 1);
@@ -1441,7 +1423,7 @@ mod tests {
         assert!(!cohort.is_empty() && cohort.len() < 8);
         // One cohort member submits; the rest drop out.
         let survivor = cohort[0];
-        let (round_id, sub) = masked(&rt, survivor, &[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
+        let (round_id, sub) = round_payload(&rt, survivor, &[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
         rt.submit_round(round_id, sub).unwrap();
         // Two free-run checkins from a non-member expire the round.
         let free = (0..8).find(|d| !cohort.contains(d)).unwrap();
@@ -1452,8 +1434,7 @@ mod tests {
                     .accepted
             );
         }
-        // The expiry epoch applied the lone survivor's unmasked gradient
-        // (compensating every dropout's pairwise masks).
+        // The expiry epoch applied the lone survivor's gradient alone.
         assert_eq!(rt.iteration(), 3);
         assert_eq!(rt.round_info().unwrap().round_id, 2);
         assert_eq!(rt.stats().get("rounds_finalized"), 1);
@@ -1473,7 +1454,7 @@ mod tests {
         let (store, server, _) = crowd_store::Store::open(model, mk(&dir)).unwrap();
         let rt = AggRuntime::with_store(server, Some(store)).unwrap();
         for device in 0..2u64 {
-            let (round_id, sub) = masked(&rt, device, &gradient);
+            let (round_id, sub) = round_payload(&rt, device, &gradient);
             rt.submit_round(round_id, sub).unwrap();
         }
         rt.kill();
@@ -1484,7 +1465,7 @@ mod tests {
         let (store, server, report) = crowd_store::Store::open(model, mk(&dir)).unwrap();
         assert_eq!(report.replayed_submissions, 2);
         let rt = AggRuntime::with_store(server, Some(store)).unwrap();
-        let (round_id, sub) = masked(&rt, 2, &gradient);
+        let (round_id, sub) = round_payload(&rt, 2, &gradient);
         match rt.submit_round(round_id, sub).unwrap() {
             RoundSubmitOutcome::Acked(outcome) => assert!(outcome.accepted),
             other => panic!("expected ack, got {other:?}"),

@@ -20,7 +20,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use crowd_agg::AggRuntime;
 use crowd_core::config::{AggSettings, RoundSettings, ServerConfig};
 use crowd_core::device::CheckinPayload;
-use crowd_core::server::{PendingSubmission, Server};
+use crowd_core::server::Server;
 use crowd_learning::MulticlassLogistic;
 use crowd_linalg::Vector;
 use parking_lot::Mutex;
@@ -252,9 +252,9 @@ fn report_checkin_latency_percentiles() {
 }
 
 // The rounds bench uses a smaller model (d = 1 000) than the throughput
-// benches: a cohort round is dominated by per-member mask generation and the
-// finalization unmask+sum, both O(cohort · d), and this size keeps one round
-// in the microsecond regime where the latency histogram has resolution.
+// benches: a cohort round is dominated by the members' O(d) submissions and
+// the O(cohort · d) finalization fold, and this size keeps one round in the
+// microsecond regime where the latency histogram has resolution.
 const ROUND_DIM: usize = 100;
 const ROUND_CLASSES: usize = 10;
 const COHORT: u64 = 8;
@@ -278,23 +278,20 @@ fn rounds_runtime() -> AggRuntime<MulticlassLogistic> {
     AggRuntime::new(Server::new(model, config).unwrap()).unwrap()
 }
 
-/// One full cohort round: every member derives its net mask, masks a dense
-/// gradient, and submits; the last submission completes the cohort and drives
-/// finalization (mask cancellation, unmasked sum, projected update) inline.
+/// One full cohort round: every member submits a dense gradient; the last
+/// submission completes the cohort and drives finalization (ascending fold,
+/// projected update) inline.
 fn run_one_round(runtime: &AggRuntime<MulticlassLogistic>) {
     let info = runtime.round_info().expect("rounds are enabled");
     let members = crowd_rounds::cohort(info.seed, info.population, info.select_fraction);
-    let dim = ROUND_DIM * ROUND_CLASSES;
-    let grad = vec![0.001f64; dim];
+    let grad = Vector::from_vec(vec![0.001f64; ROUND_DIM * ROUND_CLASSES]);
     for &d in &members {
-        let mask_words = crowd_rounds::net_mask(info.seed, d, &members, dim);
-        let words = crowd_rounds::mask(&grad, &mask_words);
-        let submission = PendingSubmission {
+        let submission = CheckinPayload {
             device_id: d,
             nonce: info.round_id,
             checkout_iteration: 0,
-            words,
-            num_samples: 2 * ROUND_CLASSES as u32,
+            gradient: grad.clone().into(),
+            num_samples: 2 * ROUND_CLASSES,
             error_count: 2,
             label_counts: vec![2; ROUND_CLASSES],
         };

@@ -301,12 +301,12 @@ impl Default for BudgetSettings {
     }
 }
 
-/// Round-based cohort protocol settings (wire v6).
+/// Round-based cohort protocol settings.
 ///
 /// When configured, the server runs the `crowd-rounds` protocol: it publishes
 /// [`crowd_proto::message::RoundParams`]-shaped parameters in every checkout,
-/// accepts exactly one masked submission per selected device per round, and
-/// folds the unmasked cohort sum into the model when the round finalizes
+/// accepts exactly one submission per selected device per round, and folds
+/// the survivors' gradient sum into the model when the round finalizes
 /// (cohort complete or `deadline_epochs` applied epochs elapsed).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundSettings {
@@ -314,7 +314,7 @@ pub struct RoundSettings {
     /// `(0, 1]`.
     pub select_fraction: f64,
     /// A round expires after this many applied server epochs without cohort
-    /// completion; survivors are then finalized with dropout compensation.
+    /// completion; the survivors' submissions are then finalized alone.
     pub deadline_epochs: u32,
     /// Device-id population the selection draws from (`0..population`).
     pub population: u64,

@@ -119,8 +119,8 @@ pub struct CheckinOutcome {
     pub deduped: bool,
 }
 
-/// One selected device's masked round contribution, held by the server until
-/// its round finalizes (cohort complete or deadline reached).
+/// One selected device's round contribution, held by the server until its
+/// round finalizes (cohort complete or deadline reached).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PendingSubmission {
     /// The contributing device.
@@ -129,15 +129,30 @@ pub struct PendingSubmission {
     pub nonce: u64,
     /// The server iteration the device checked parameters out at.
     pub checkout_iteration: u64,
-    /// The masked gradient words (`crowd_rounds::mask` output), one per
-    /// coordinate.
-    pub words: Vec<u64>,
+    /// The sanitized gradient, decoded to its dense form.
+    pub gradient: Vec<f64>,
     /// Samples behind the gradient (`n_s`).
     pub num_samples: u32,
     /// Perturbed misclassification count (`n̂_e`).
     pub error_count: i64,
     /// Perturbed per-class label counts (`n̂_y^k`).
     pub label_counts: Vec<i64>,
+}
+
+impl PendingSubmission {
+    /// The pending form of a round checkin: the payload's statistics with its
+    /// gradient densified, whatever encoding it arrived in.
+    pub fn from_payload(payload: CheckinPayload) -> Self {
+        PendingSubmission {
+            device_id: payload.device_id,
+            nonce: payload.nonce,
+            checkout_iteration: payload.checkout_iteration,
+            gradient: payload.gradient.to_dense().into_vec(),
+            num_samples: payload.num_samples as u32,
+            error_count: payload.error_count,
+            label_counts: payload.label_counts,
+        }
+    }
 }
 
 /// Round protocol state in the deterministic snapshot layout: everything
@@ -184,7 +199,7 @@ pub enum RoundAdmission {
 pub struct RoundInfo {
     /// The currently open round (starts at 1; 0 is reserved for "free-run").
     pub round_id: u64,
-    /// This round's derived selection/mask seed.
+    /// This round's derived selection seed.
     pub seed: u64,
     /// Configured cohort fraction.
     pub select_fraction: f64,
@@ -428,7 +443,7 @@ impl<M: Model> Server<M> {
         self.round.as_ref().map_or(0, |r| r.pending.len())
     }
 
-    /// Classifies and (when current) records one masked round submission.
+    /// Classifies and (when current) records one round submission.
     ///
     /// On [`RoundAdmission::Accepted`] the submission is pending until
     /// [`Server::finalize_round`]; the device's `(round_id, nonce)` is also
@@ -461,10 +476,10 @@ impl<M: Model> Server<M> {
             // ack and re-derived a nonce. Its contribution already stands.
             return Ok(RoundAdmission::Duplicate);
         }
-        if submission.words.len() != dim {
+        if submission.gradient.len() != dim {
             return Err(CoreError::Protocol(format!(
-                "round submission has {} masked words, expected {dim}",
-                submission.words.len()
+                "round submission gradient has dimension {}, expected {dim}",
+                submission.gradient.len()
             )));
         }
         if submission.label_counts.len() != num_classes {
@@ -498,13 +513,12 @@ impl<M: Model> Server<M> {
         }
     }
 
-    /// Closes the open round and opens the next one: unmasks the survivors'
-    /// submissions (recomputing each one's full-cohort net mask — the dropout
-    /// compensation), folds them in ascending device order, and returns the
-    /// closed round id plus the finalization epoch (`None` when nobody
-    /// submitted). The caller applies the epoch through the ordinary
-    /// [`Server::apply_aggregate`] path, which is what makes the finalized
-    /// cohort sum bitwise identical to the unmasked equivalent.
+    /// Closes the open round and opens the next one: folds the survivors'
+    /// gradients into one sum in ascending device order — an O(k·d) pass
+    /// over the pending map — and returns the closed round id plus the
+    /// finalization epoch (`None` when nobody submitted). Dropouts simply
+    /// contribute nothing. The caller applies the epoch through the ordinary
+    /// [`Server::apply_aggregate`] path.
     pub fn finalize_round(&mut self) -> Result<(u64, Option<EpochAggregate>)> {
         let settings = *self.config.rounds.as_ref().ok_or_else(|| {
             CoreError::Protocol("finalize_round on a server without rounds".into())
@@ -515,44 +529,34 @@ impl<M: Model> Server<M> {
             .as_mut()
             .ok_or_else(|| CoreError::Protocol("no open round".into()))?;
         let closed = round.round_id;
-        let epoch = if round.pending.is_empty() {
-            None
-        } else {
-            let survivors: Vec<(u64, Vec<u64>)> = round
-                .pending
-                .values()
-                .map(|s| (s.device_id, s.words.clone()))
-                .collect();
-            let sum = crowd_rounds::finalize_sum(round.seed, &round.cohort, &survivors, dim)
-                .ok_or_else(|| {
-                    CoreError::Protocol("round survivors inconsistent with cohort".into())
-                })?;
-            let min_checkout_iteration = round
-                .pending
-                .values()
-                .map(|s| s.checkout_iteration)
-                .min()
-                .unwrap_or(0);
-            // BTreeMap iteration gives the ascending device order the
-            // deterministic fold requires.
-            let device_stats = round
-                .pending
-                .values()
-                .map(|s| DeviceEpochStats {
+        // The round is replaced below, so its pending map is consumed, not
+        // cloned. BTreeMap iteration gives the ascending device order the
+        // deterministic fold requires.
+        let pending = std::mem::take(&mut round.pending);
+        let epoch = (!pending.is_empty()).then(|| {
+            let mut sum = Vector::zeros(dim);
+            let mut min_checkout_iteration = u64::MAX;
+            let mut device_stats = Vec::with_capacity(pending.len());
+            for s in pending.into_values() {
+                for (acc, g) in sum.as_mut_slice().iter_mut().zip(&s.gradient) {
+                    *acc += g;
+                }
+                min_checkout_iteration = min_checkout_iteration.min(s.checkout_iteration);
+                device_stats.push(DeviceEpochStats {
                     device_id: s.device_id,
                     checkins: 1,
                     samples: s.num_samples as u64,
                     errors: s.error_count,
-                    label_counts: s.label_counts.clone(),
-                })
-                .collect();
-            Some(EpochAggregate {
-                gradient_sum: Vector::from_vec(sum),
-                checkin_count: round.pending.len() as u64,
+                    label_counts: s.label_counts,
+                });
+            }
+            EpochAggregate {
+                gradient_sum: sum,
+                checkin_count: device_stats.len() as u64,
                 min_checkout_iteration,
                 device_stats,
-            })
-        };
+            }
+        });
         self.round = Some(RoundRuntime::open(&settings, closed + 1, self.iteration));
         Ok((closed, epoch))
     }
@@ -1230,17 +1234,13 @@ mod tests {
         device_id: u64,
         nonce: u64,
     ) -> PendingSubmission {
-        let info = server.round_info().unwrap();
-        let cohort = server.round_cohort().unwrap().to_vec();
-        let gradient: Vec<f64> = (0..6)
-            .map(|i| (device_id as f64 + 1.0) * 0.1 + i as f64 * 0.01)
-            .collect();
-        let mask_words = crowd_rounds::net_mask(info.seed, device_id, &cohort, 6);
         PendingSubmission {
             device_id,
             nonce,
             checkout_iteration: server.iteration(),
-            words: crowd_rounds::mask(&gradient, &mask_words),
+            gradient: (0..6)
+                .map(|i| (device_id as f64 + 1.0) * 0.1 + i as f64 * 0.01)
+                .collect(),
             num_samples: 2,
             error_count: 1,
             label_counts: vec![1, 1, 0],
@@ -1287,7 +1287,7 @@ mod tests {
         assert_eq!(closed, 1);
         let epoch = epoch.unwrap();
         assert_eq!(epoch.checkin_count, 4);
-        // The unmasked fold equals the raw-gradient fold bitwise.
+        // The finalized sum is the ascending raw-gradient fold, bitwise.
         let mut expected = [0.0f64; 6];
         for d in 0..4u64 {
             for (e, i) in expected.iter_mut().zip(0..6) {
@@ -1328,7 +1328,7 @@ mod tests {
         );
         let member = cohort[0];
         let mut bad_dim = submission(&s, member, 2);
-        bad_dim.words.pop();
+        bad_dim.gradient.pop();
         assert!(s.round_submit(1, bad_dim).is_err());
         let mut bad_counts = submission(&s, member, 3);
         bad_counts.label_counts.pop();
@@ -1342,7 +1342,7 @@ mod tests {
             device_id: 0,
             nonce: 0,
             checkout_iteration: 0,
-            words: vec![0; 6],
+            gradient: vec![0.0; 6],
             num_samples: 1,
             error_count: 0,
             label_counts: vec![0, 0, 0],
@@ -1369,8 +1369,8 @@ mod tests {
         assert_eq!(closed, 1);
         let epoch = epoch.unwrap();
         assert_eq!(epoch.checkin_count, 2);
-        // Survivor sum (devices 1 and 3) bitwise: dropout compensation
-        // recovered the exact bits despite devices 0 and 2 never submitting.
+        // Survivor sum (devices 1 and 3) bitwise: devices 0 and 2 never
+        // submitted and contribute nothing.
         let mut expected = [0.0f64; 6];
         for d in [1u64, 3] {
             for (e, i) in expected.iter_mut().zip(0..6) {

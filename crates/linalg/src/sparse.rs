@@ -196,6 +196,28 @@ impl GradientUpdate {
         matches!(self, GradientUpdate::Sparse(_))
     }
 
+    /// `true` when no coordinate is NaN or infinite. One comparison per
+    /// stored coordinate; a quantized coordinate counts at its dequantized
+    /// value.
+    pub fn is_finite(&self) -> bool {
+        // `|v| <= MAX` is false exactly for NaN and ±∞. Folding fixed
+        // 16-wide chunks without early exit lets the compares vectorize,
+        // while `all` still stops at the first bad chunk.
+        let all = |values: &[f64]| {
+            values
+                .chunks(16)
+                .all(|c| c.iter().fold(true, |ok, v| ok & (v.abs() <= f64::MAX)))
+        };
+        match self {
+            GradientUpdate::Dense(v) => all(v.as_slice()),
+            GradientUpdate::Sparse(s) => all(s.values()),
+            GradientUpdate::Quantized(q) => q
+                .levels()
+                .iter()
+                .fold(true, |ok, &l| ok & (f64::from(l) * q.scale()).is_finite()),
+        }
+    }
+
     /// Adds this update into a dense accumulator: element-wise for dense,
     /// scatter-add for sparse. Bitwise equivalent for accumulators that
     /// started at `+0.0` (see the module docs).
@@ -265,6 +287,20 @@ mod tests {
         assert!(SparseVector::new(4, vec![2, 1], vec![1.0, 2.0]).is_err());
         assert!(SparseVector::new(4, vec![1, 3], vec![1.0, 2.0]).is_ok());
         assert!(SparseVector::new(0, vec![], vec![]).is_ok());
+    }
+
+    #[test]
+    fn is_finite_checks_every_encoding() {
+        let mut dense = vec![0.5; 40];
+        assert!(GradientUpdate::Dense(Vector::from_vec(dense.clone())).is_finite());
+        dense[37] = f64::NAN;
+        assert!(!GradientUpdate::Dense(Vector::from_vec(dense)).is_finite());
+        let sparse = SparseVector::new(8, vec![1, 6], vec![1.0, f64::INFINITY]).unwrap();
+        assert!(!GradientUpdate::Sparse(sparse).is_finite());
+        let q = |scale| crate::quant::QuantizedVector::from_parts(scale, vec![1, -32768]).unwrap();
+        assert!(GradientUpdate::Quantized(q(0.5)).is_finite());
+        // A finite scale times a level can still overflow to -∞.
+        assert!(!GradientUpdate::Quantized(q(f64::MAX)).is_finite());
     }
 
     #[test]

@@ -193,7 +193,7 @@ pub struct ChaosCluster {
     /// are layered on top by the driver.
     pub server: ServerConfig,
     /// Cohort-round settings; `Some` runs the server in rounds mode (wire
-    /// v6): selected devices submit masked shares through [`RoundSession`],
+    /// v6): selected devices submit their share through [`RoundSession`],
     /// unselected devices free-run, and the churn schedule's scripted
     /// mid-round dropouts simply never submit.
     pub rounds: Option<RoundSettings>,
@@ -402,7 +402,7 @@ impl Driver {
         let mut late_joins = 0u64;
         let mut round_dropouts = 0u64;
         // Rounds mode: the highest round id each device has submitted a
-        // masked share to (0 = none yet); a device contributes to a round at
+        // share to (0 = none yet); a device contributes to a round at
         // most once, later minibatches in the same round free-run.
         let mut last_submitted = vec![0u64; opts.devices];
         for d in 0..opts.devices as u64 {
@@ -634,7 +634,7 @@ impl Driver {
 
     /// One minibatch under rounds mode. The device joins the current round;
     /// Unselected devices (and Selected ones whose share is already in)
-    /// free-run, Selected devices submit the payload as a masked cohort share
+    /// free-run, Selected devices submit the payload as their cohort share
     /// — unless the churn schedule scripts a mid-round dropout, in which case
     /// the minibatch is discarded unsent. Returns `Ok(true)` when an ack was
     /// obtained, `Ok(false)` when the dropout fired.
@@ -676,7 +676,7 @@ impl Driver {
         }
     }
 
-    /// Drives one masked submission to an ack, retrying residual transport
+    /// Drives one round submission to an ack, retrying residual transport
     /// failures with the same nonce (server-side round dedup makes the retry
     /// idempotent even across the round's finalization). `Ok(true)` when
     /// acknowledged, `Ok(false)` on a `RoundOutdated` refusal.
@@ -762,7 +762,7 @@ mod tests {
     }
 
     #[test]
-    fn rounds_fault_free_run_masks_submissions_and_charges_once_per_ack() {
+    fn rounds_fault_free_run_submits_and_charges_once_per_ack() {
         let report = ChaosCluster::new(FaultPlan::fault_free(21))
             .with_rounds()
             .run()
@@ -771,7 +771,7 @@ mod tests {
         assert_eq!(report.round_dropouts, 0);
         assert!(
             report.metrics.get("round_submissions") > 0,
-            "no masked submissions in a rounds-mode run"
+            "no round submissions in a rounds-mode run"
         );
         for (device, eps) in &report.ledger {
             let expected = 0.25 * report.acked_checkins[*device as usize] as f64;

@@ -501,12 +501,18 @@ impl DeviceClient {
     /// failure is reported to the caller, because a blind retry could
     /// double-apply.
     pub fn checkin(&self, payload: &CheckinPayload) -> Result<CheckinOutcome> {
+        self.checkin_to_round(payload, 0)
+    }
+
+    /// Sends one checkin tagged with `round_id` (0 = free-run), retried
+    /// through transport faults when the payload carries a dedup nonce.
+    fn checkin_to_round(&self, payload: &CheckinPayload, round_id: u64) -> Result<CheckinOutcome> {
         let request = Message::CheckinRequest(CheckinRequest {
             device_id: self.device_id,
             token: self.token,
             checkout_iteration: payload.checkout_iteration,
             nonce: payload.nonce,
-            round_id: 0,
+            round_id,
             gradient: wire_gradient(&payload.gradient),
             num_samples: payload.num_samples as u32,
             error_count: payload.error_count,
@@ -748,7 +754,7 @@ impl DeviceClient {
 ///
 /// The session snapshots the checkout (model parameters + round parameters)
 /// and the role derived from the round seed. A `Selected` device submits
-/// exactly one masked contribution via [`RoundSession::submit`]; an
+/// exactly one contribution via [`RoundSession::submit`]; an
 /// `Unselected` one free-runs ordinary [`DeviceClient::checkin`]s until the
 /// next round. When a submit comes back [`CheckinOutcome::RoundOutdated`],
 /// the round closed mid-computation — [`RoundSession::resync`] joins the
@@ -790,41 +796,15 @@ impl RoundSession {
         &self.cohort
     }
 
-    /// Submits this round's masked contribution (`Selected` role only): the
-    /// payload gradient is densified and each coordinate's IEEE-754 bits get
-    /// the device's seed-derived pairwise net mask added (wrapping), so the
-    /// raw gradient never crosses the wire and the masks cancel exactly in
-    /// the finalized cohort sum. Retried through transport faults when the
-    /// payload carries a dedup nonce, like [`DeviceClient::checkin`].
+    /// Submits this round's contribution (`Selected` role only): an ordinary
+    /// checkin, in the payload's own gradient encoding, tagged with the
+    /// round id. Retried through transport faults when the payload carries a
+    /// dedup nonce, like [`DeviceClient::checkin`].
     pub fn submit(&self, payload: &CheckinPayload) -> Result<CheckinOutcome> {
         if self.role != Role::Selected {
             return Err(NetError::Round("only a selected device submits to a round"));
         }
-        let dense = payload.gradient.to_dense();
-        let mask_words = crowd_rounds::net_mask(
-            self.round.seed,
-            self.client.device_id,
-            &self.cohort,
-            dense.len(),
-        );
-        let words = crowd_rounds::mask(dense.as_slice(), &mask_words);
-        let request = Message::CheckinRequest(CheckinRequest {
-            device_id: self.client.device_id,
-            token: self.client.token,
-            checkout_iteration: payload.checkout_iteration,
-            nonce: payload.nonce,
-            round_id: self.round.round_id,
-            gradient: GradientPayload::Masked { words },
-            num_samples: payload.num_samples as u32,
-            error_count: payload.error_count,
-            label_counts: payload.label_counts.clone(),
-        });
-        let reply = if payload.nonce != 0 {
-            self.client.exchange_idempotent(&request)?
-        } else {
-            self.client.exchange(&request)?
-        };
-        checkin_outcome(reply)
+        self.client.checkin_to_round(payload, self.round.round_id)
     }
 
     /// Rejoins the server's *current* round after a
@@ -1052,7 +1032,7 @@ mod tests {
     }
 
     #[test]
-    fn round_session_masks_submissions_and_resyncs_when_stale() {
+    fn round_session_submits_and_resyncs_when_stale() {
         use crowd_core::config::RoundSettings;
         let model = MulticlassLogistic::new(3, 2).unwrap();
         let config = ServerConfig::new().with_rounds(
@@ -1085,8 +1065,8 @@ mod tests {
         let first = sessions[0].submit(&payload(0)).unwrap();
         assert_eq!(first, CheckinOutcome::Applied { iteration: 0 });
         assert_eq!(handle.iteration(), 0);
-        // The cohort's last submission completes the round: the masks cancel
-        // and the finalized sum applies as one epoch.
+        // The cohort's last submission completes the round: the survivors'
+        // sum applies as one epoch.
         let second = sessions[1].submit(&payload(1)).unwrap();
         assert_eq!(second, CheckinOutcome::Applied { iteration: 0 });
         assert_eq!(handle.iteration(), 1);

@@ -13,7 +13,6 @@
 
 use crowd_agg::{AggError, AggRuntime, CompletionHandle, RoundSubmitOutcome, SubmitRejection};
 use crowd_core::device::CheckinPayload;
-use crowd_core::server::PendingSubmission;
 use crowd_learning::MulticlassLogistic;
 use crowd_linalg::{GradientUpdate, QuantizedVector, SparseVector, Vector};
 use crowd_proto::auth::TokenRegistry;
@@ -114,11 +113,8 @@ impl ServerCore {
                     return error_reply(ErrorCode::Unauthorized, "unknown device or bad token");
                 }
                 note_gradient_encoding(&self.metrics, &req.gradient);
-                if matches!(req.gradient, GradientPayload::Masked { .. }) {
+                if req.round_id != 0 {
                     return self.round_checkin(req);
-                }
-                if let Some(reply) = self.stale_round_reply(req.round_id) {
-                    return reply;
                 }
                 let payload = match payload_of(req) {
                     Ok(p) => p,
@@ -148,13 +144,10 @@ impl ServerCore {
                             )));
                         }
                         note_gradient_encoding(&self.metrics, &item.gradient);
-                        if matches!(item.gradient, GradientPayload::Masked { .. }) {
+                        if item.round_id != 0 {
                             // Round submissions resolve synchronously; the
                             // reply (ack or refusal) is folded in positionally.
                             return Err(Box::new(self.round_checkin(item)));
-                        }
-                        if let Some(reply) = self.stale_round_reply(item.round_id) {
-                            return Err(Box::new(reply));
                         }
                         self.runtime
                             .submit(payload_of(item)?)
@@ -213,29 +206,16 @@ impl ServerCore {
         })
     }
 
-    /// Handles a round submission (a masked checkin): the gradient is recorded
-    /// against the round it names and applied at round finalization, so the
-    /// acknowledgement is immediate — no epoch wait.
+    /// Handles a round submission (a checkin with `round_id != 0`): the
+    /// gradient is recorded against the round it names and applied at round
+    /// finalization, so the acknowledgement is immediate — no epoch wait.
     pub(crate) fn round_checkin(&self, req: CheckinRequest) -> Message {
-        let GradientPayload::Masked { words } = req.gradient else {
-            return error_reply(ErrorCode::Internal, "round_checkin on an unmasked gradient");
+        let round_id = req.round_id;
+        let payload = match payload_of(req) {
+            Ok(p) => p,
+            Err(reply) => return *reply,
         };
-        if req.round_id == 0 {
-            return error_reply(
-                ErrorCode::BadRequest,
-                "a masked checkin must name the round it contributes to",
-            );
-        }
-        let submission = PendingSubmission {
-            device_id: req.device_id,
-            nonce: req.nonce,
-            checkout_iteration: req.checkout_iteration,
-            words,
-            num_samples: req.num_samples,
-            error_count: req.error_count,
-            label_counts: req.label_counts,
-        };
-        match self.runtime.submit_round(req.round_id, submission) {
+        match self.runtime.submit_round(round_id, payload) {
             Ok(RoundSubmitOutcome::Acked(outcome)) => Message::CheckinAck(CheckinAck {
                 accepted: outcome.accepted,
                 iteration: outcome.iteration,
@@ -246,23 +226,6 @@ impl ServerCore {
                 round_outdated_reply(current_round)
             }
             Err(e) => agg_error_reply(e),
-        }
-    }
-
-    /// Refuses a free-run checkin tagged with a round other than the server's
-    /// current one: the device's protocol view is stale and it must refetch
-    /// the round parameters. `round_id == 0` opts out of the check, and the
-    /// tag is meaningless (not stale) when rounds are disabled.
-    fn stale_round_reply(&self, round_id: u64) -> Option<Message> {
-        if round_id == 0 {
-            return None;
-        }
-        match self.runtime.round_info() {
-            Some(info) if info.round_id != round_id => {
-                self.metrics.incr(CounterId::RoundOutdatedRejections);
-                Some(round_outdated_reply(info.round_id))
-            }
-            _ => None,
         }
     }
 }
@@ -321,15 +284,12 @@ pub(crate) fn handle_event(core: &Arc<ServerCore>, message: Message) -> Response
                 ));
             }
             note_gradient_encoding(&core.metrics, &req.gradient);
-            if matches!(req.gradient, GradientPayload::Masked { .. }) {
+            if req.round_id != 0 {
                 // A round submission locks the aggregation core synchronously
                 // (and may finalize an epoch when it completes the cohort), so
                 // it runs on the completion pump, never the event loop.
                 let core = Arc::clone(core);
                 return Response::Pending(Box::new(move || core.round_checkin(req)));
-            }
-            if let Some(reply) = core.stale_round_reply(req.round_id) {
-                return Response::Now(reply);
             }
             let payload = match payload_of(req) {
                 Ok(p) => p,
@@ -420,14 +380,6 @@ pub(crate) fn payload_of(req: CheckinRequest) -> std::result::Result<CheckinPayl
                 Ok(q) => GradientUpdate::Quantized(q),
                 Err(e) => return Err(Box::new(error_reply(ErrorCode::BadRequest, e.to_string()))),
             }
-        }
-        GradientPayload::Masked { .. } => {
-            // Masked gradients are round submissions; callers route them to
-            // `ServerCore::round_checkin` before building a free-run payload.
-            return Err(Box::new(error_reply(
-                ErrorCode::BadRequest,
-                "a masked gradient is only valid as a round submission",
-            )));
         }
     };
     Ok(CheckinPayload {

@@ -30,9 +30,6 @@ const GRADIENT_SPARSE: u8 = 1;
 /// Wire tag for a quantized (shared scale + `i16` levels) gradient encoding
 /// (wire v5).
 const GRADIENT_QUANTIZED: u8 = 2;
-/// Wire tag for a masked (round-cohort `u64` words) gradient encoding
-/// (wire v6).
-const GRADIENT_MASKED: u8 = 3;
 
 /// Encodes a message into a standalone byte buffer (without the frame length
 /// prefix).
@@ -355,13 +352,6 @@ fn put_gradient<B: BufMut>(buf: &mut B, gradient: &GradientPayload) {
             buf.put_f64_le(*scale);
             buf.put_i16_slice_le(levels);
         }
-        GradientPayload::Masked { words } => {
-            buf.put_u8(GRADIENT_MASKED);
-            buf.put_u32_le(words.len() as u32);
-            for &w in words {
-                buf.put_u64_le(w);
-            }
-        }
     }
 }
 
@@ -420,10 +410,6 @@ fn get_gradient(buf: &mut &[u8]) -> Result<GradientPayload> {
             ensure(buf, dim * 2, "quantized levels")?;
             let levels = (0..dim).map(|_| buf.get_i16_le()).collect();
             Ok(GradientPayload::Quantized { scale, levels })
-        }
-        GRADIENT_MASKED => {
-            let words = get_u64_vec(buf, "masked gradient")?;
-            Ok(GradientPayload::Masked { words })
         }
         other => Err(ProtoError::InvalidField {
             field: "gradient encoding",
@@ -554,12 +540,6 @@ fn get_i64_vec(buf: &mut &[u8], context: &'static str) -> Result<Vec<i64>> {
     Ok((0..len).map(|_| buf.get_i64_le()).collect())
 }
 
-fn get_u64_vec(buf: &mut &[u8], context: &'static str) -> Result<Vec<u64>> {
-    let len = get_vec_len(buf, context)?;
-    ensure(buf, len * 8, context)?;
-    Ok((0..len).map(|_| buf.get_u64_le()).collect())
-}
-
 fn get_string(buf: &mut &[u8], context: &'static str) -> Result<String> {
     let len = get_vec_len(buf, context)?;
     ensure(buf, len, context)?;
@@ -649,9 +629,7 @@ mod tests {
                 checkout_iteration: 58,
                 nonce: 158,
                 round_id: 3,
-                gradient: GradientPayload::Masked {
-                    words: vec![0, u64::MAX, 0x0102_0304_0506_0708],
-                },
+                gradient: GradientPayload::Dense(vec![0.5, -0.0, f64::MIN_POSITIVE]),
                 num_samples: 16,
                 error_count: 1,
                 label_counts: vec![8, 8],

@@ -42,6 +42,8 @@ pub type Result<T> = std::result::Result<T, ProtoError>;
 /// gradient encoding (`i16` levels times a shared scale) that DP-noised
 /// uploads select when their noise floor dominates the quantization error;
 /// version 6 added the round-based cohort protocol ([`message::RoundParams`]
-/// in checkouts, per-checkin `round_id`, the masked gradient encoding, and
-/// the `RoundOutdated` resync error).
-pub const PROTOCOL_VERSION: u16 = 6;
+/// in checkouts, per-checkin `round_id`, a masked gradient encoding, and
+/// the `RoundOutdated` resync error); version 7 removed the masked encoding,
+/// so a round checkin carries a dense, sparse or quantized gradient like any
+/// other checkin (encoding tag 3 is now refused as unknown).
+pub const PROTOCOL_VERSION: u16 = 7;

@@ -41,8 +41,8 @@ pub struct CheckoutResponse {
 /// Parameters of the server's current aggregation round (wire v6).
 ///
 /// Published in every checkout. From `(seed, select_fraction, population)` a
-/// device derives its role and — when selected — the pairwise masks it shares
-/// with the rest of the cohort; no additional coordination messages exist. A
+/// device derives the cohort and its own role in it; no additional
+/// coordination messages exist. A
 /// checkin tagged with a `round_id` older than the server's current round is
 /// refused with [`ErrorCode::RoundOutdated`] and the device resyncs by
 /// checking out again.
@@ -51,12 +51,12 @@ pub struct RoundParams {
     /// Monotonically increasing round counter (starts at 1; 0 on the wire
     /// means "free-run", so it never identifies a round).
     pub round_id: u64,
-    /// Seed of this round's cohort selection and pair-mask derivation.
+    /// Seed of this round's cohort selection.
     pub seed: u64,
     /// Fraction of the population selected into the cohort, in `(0, 1]`.
     pub select_fraction: f64,
     /// Rounds expire after this many applied server epochs without cohort
-    /// completion; survivors are finalized with dropout compensation.
+    /// completion; the survivors' submissions are then finalized alone.
     pub deadline_epochs: u32,
     /// Device-id population the selection draws from (`0..population`).
     pub population: u64,
@@ -99,14 +99,6 @@ pub enum GradientPayload {
         /// One signed 16-bit level per coordinate, in order.
         levels: Vec<i16>,
     },
-    /// A round checkin's masked gradient (wire v6): per coordinate, the
-    /// IEEE-754 bit pattern plus the device's pairwise net mask, wrapping.
-    /// Lossless — the aggregator recovers the exact original bits at round
-    /// finalization — and never a raw gradient on the wire.
-    Masked {
-        /// One masked word per coordinate, in order.
-        words: Vec<u64>,
-    },
 }
 
 impl GradientPayload {
@@ -116,7 +108,6 @@ impl GradientPayload {
             GradientPayload::Dense(v) => v.len(),
             GradientPayload::Sparse { dim, .. } => *dim as usize,
             GradientPayload::Quantized { levels, .. } => levels.len(),
-            GradientPayload::Masked { words } => words.len(),
         }
     }
 
@@ -126,19 +117,17 @@ impl GradientPayload {
             GradientPayload::Dense(v) => v.len(),
             GradientPayload::Sparse { indices, .. } => indices.len(),
             GradientPayload::Quantized { levels, .. } => levels.len(),
-            GradientPayload::Masked { words } => words.len(),
         }
     }
 
     /// Bytes of the encoded gradient field (excluding the message framing):
     /// `1 + 4 + 8·dim` dense, `1 + 8 + 12·nnz` sparse, `1 + 12 + 2·dim`
-    /// quantized, `1 + 4 + 8·dim` masked.
+    /// quantized.
     pub fn encoded_len(&self) -> usize {
         match self {
             GradientPayload::Dense(v) => 1 + 4 + 8 * v.len(),
             GradientPayload::Sparse { indices, .. } => 1 + 8 + 12 * indices.len(),
             GradientPayload::Quantized { levels, .. } => 1 + 4 + 8 + 2 * levels.len(),
-            GradientPayload::Masked { words } => 1 + 4 + 8 * words.len(),
         }
     }
 
@@ -184,9 +173,9 @@ pub struct CheckinRequest {
     /// applying — and ε-charging — the gradient twice.
     pub nonce: u64,
     /// The round this checkin contributes to (wire v6), or 0 for an ordinary
-    /// free-run checkin. Round checkins carry a [`GradientPayload::Masked`]
-    /// gradient and are held until the round finalizes; a stale `round_id`
-    /// is refused with [`ErrorCode::RoundOutdated`].
+    /// free-run checkin. A round checkin carries the same gradient encodings
+    /// as a free-run one and is held until the round finalizes; a stale
+    /// `round_id` is refused with [`ErrorCode::RoundOutdated`].
     pub round_id: u64,
     /// The sanitized averaged gradient `ĝ`, dense or sparse.
     pub gradient: GradientPayload,

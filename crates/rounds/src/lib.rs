@@ -1,58 +1,47 @@
-//! Round-based cohort protocol primitives: seed-derived K-of-M selection and
-//! pairwise additive masking (Bonawitz-style in shape, vendored-rng in
-//! substance — no real crypto).
+//! Round-based cohort protocol primitives: seed-derived K-of-M selection.
 //!
 //! Every round the coordinator publishes `(round_id, seed, select_fraction,
 //! population)`. From those values alone, every party — device or server —
-//! derives the same facts without further coordination:
+//! derives the same cohort without further coordination: device `d` is
+//! *Selected* for the round iff `mix(seed, d) < select_fraction · 2^64`
+//! ([`is_selected`]). The cohort is the ascending list of selected ids
+//! ([`cohort`]); if the coin flips leave it empty, the whole population is
+//! the cohort (a deterministic fallback, never a stall).
 //!
-//! * **Role.** Device `d` is *Selected* for the round iff
-//!   `mix(seed, d) < select_fraction · 2^64` ([`is_selected`]). The cohort is
-//!   the ascending list of selected ids ([`cohort`]); if the coin flips leave
-//!   it empty, the whole population is the cohort (a deterministic fallback,
-//!   never a stall).
-//! * **Pair masks.** Every unordered cohort pair `{a, b}` shares a mask
-//!   stream seeded by `(seed, a, b)` ([`pair_mask`]). Device `d`'s *net* mask
-//!   adds the pair mask toward every higher-id partner and subtracts it
-//!   toward every lower-id partner ([`net_mask`]), so summed over the full
-//!   cohort the masks cancel exactly.
+//! The rest of the protocol lives with the parties that run it:
 //!
-//! Masking operates on the gradient's IEEE-754 **bit patterns** with
-//! wrapping `u64` arithmetic ([`mask`]/[`unmask`]), not on the floats
-//! themselves. That makes unmasking lossless: the server recomputes a
-//! survivor's net mask (including the pair masks toward partners that
-//! vanished mid-round — the *dropout compensation*), subtracts it, and
-//! recovers the original bits exactly. The finalized cohort sum is therefore
-//! bitwise identical to the sum the unmasked gradients would have produced —
-//! the property `tests/` proptests over random cohorts and dropout sets.
+//! * **Exactly-once submission.** A selected device submits one ordinary
+//!   checkin tagged with the round id. The server holds it pending until
+//!   the round finalizes; a retry with the same nonce, even one that lands
+//!   after the round closed, is answered as a duplicate and never counted
+//!   or ε-charged twice.
+//! * **`RoundOutdated` resync.** A submission naming a round that has
+//!   already closed is refused with the current round id, and the device
+//!   rejoins with one checkout.
+//! * **Deadline expiry.** A round finalizes when its whole cohort has
+//!   submitted, or once `deadline_epochs` applied epochs have passed; the
+//!   survivors' gradients are then summed in ascending device order and
+//!   applied as one epoch, and dropouts simply contribute nothing.
 //!
-//! What this buys within the paper's threat model: no raw gradient ever
-//! crosses the wire (a masked word stream is what an eavesdropper — or a
-//! logging middlebox — sees), and the aggregation path only ever folds
-//! cohort-shaped sums. It is *not* cryptographic secure aggregation: the
-//! seed is public, so the server could unmask an individual submission. The
-//! protocol shape (roles, exactly-once submission, `RoundOutdated` resync,
-//! dropout compensation) is the reproduction target; swapping the mask
-//! derivation for real pairwise key agreement would not change any interface
-//! in this crate.
+//! Privacy comes from where the paper puts it: device-side ε-DP noise on
+//! each minibatch gradient before it leaves the device. Round submissions
+//! carry the same sanitized gradient as free-run checkins; the round adds
+//! cohort selection and a synchronous aggregation boundary, not secrecy.
 
 #![forbid(unsafe_code)]
-
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
 
 /// A device's role in one round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
-    /// In the round's cohort: submit exactly one masked checkin this round.
+    /// In the round's cohort: submit exactly one round checkin this round.
     Selected,
-    /// Not in the cohort: free-run (ordinary unmasked checkins) this round.
+    /// Not in the cohort: free-run (ordinary untagged checkins) this round.
     Unselected,
 }
 
 /// SplitMix64-style finalizer used for all per-round derivations. Distinct
-/// salts keep the derivation domains (selection, pair masks, round seeds)
-/// from colliding.
+/// salts keep the derivation domains (selection, round seeds) from
+/// colliding.
 fn mix(mut h: u64, salt: u64) -> u64 {
     h = h.wrapping_add(salt).wrapping_add(0x9E37_79B9_7F4A_7C15);
     h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -60,7 +49,7 @@ fn mix(mut h: u64, salt: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-/// Derives round `round_id`'s selection/mask seed from the configured base
+/// Derives round `round_id`'s selection seed from the configured base
 /// seed. Successive rounds get statistically unrelated cohorts.
 pub fn round_seed(base_seed: u64, round_id: u64) -> u64 {
     mix(mix(base_seed, 0x5EED), round_id)
@@ -111,93 +100,6 @@ pub fn role_of(seed: u64, device_id: u64, population: u64, select_fraction: f64)
     }
 }
 
-/// The shared mask stream for the unordered pair `{a, b}`: `dim` words drawn
-/// from a generator seeded by `(seed, min(a,b), max(a,b))`. Both endpoints —
-/// and the compensating server — derive the identical stream.
-pub fn pair_mask(seed: u64, a: u64, b: u64, dim: usize) -> Vec<u64> {
-    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-    let mut rng = StdRng::seed_from_u64(mix(mix(seed, lo), mix(hi, 0x7A1F)));
-    (0..dim).map(|_| rng.next_u64()).collect()
-}
-
-/// Device `device_id`'s net mask over the cohort: the sum of its pair masks,
-/// added toward higher-id partners and subtracted toward lower-id ones
-/// (wrapping). Summed over every cohort member the signs pair off and the
-/// total is exactly zero — the cancellation the protocol is named for.
-pub fn net_mask(seed: u64, device_id: u64, cohort: &[u64], dim: usize) -> Vec<u64> {
-    let mut out = vec![0u64; dim];
-    for &peer in cohort {
-        if peer == device_id {
-            continue;
-        }
-        let pair = pair_mask(seed, device_id, peer, dim);
-        if device_id < peer {
-            for (o, m) in out.iter_mut().zip(&pair) {
-                *o = o.wrapping_add(*m);
-            }
-        } else {
-            for (o, m) in out.iter_mut().zip(&pair) {
-                *o = o.wrapping_sub(*m);
-            }
-        }
-    }
-    out
-}
-
-/// Masks a gradient for the wire: each coordinate's IEEE-754 bits plus the
-/// net mask word, wrapping. Lossless by construction — [`unmask`] with the
-/// same net mask recovers the original bits exactly.
-pub fn mask(gradient: &[f64], net_mask: &[u64]) -> Vec<u64> {
-    debug_assert_eq!(gradient.len(), net_mask.len());
-    gradient
-        .iter()
-        .zip(net_mask)
-        .map(|(&g, &m)| g.to_bits().wrapping_add(m))
-        .collect()
-}
-
-/// Inverts [`mask`]: subtracts the net mask words and reinterprets the bits
-/// as the original floats.
-pub fn unmask(words: &[u64], net_mask: &[u64]) -> Vec<f64> {
-    debug_assert_eq!(words.len(), net_mask.len());
-    words
-        .iter()
-        .zip(net_mask)
-        .map(|(&w, &m)| f64::from_bits(w.wrapping_sub(m)))
-        .collect()
-}
-
-/// Server-side round finalization over the survivors: for each surviving
-/// `(device_id, masked_words)` pair — ascending by device id — recompute the
-/// device's full-cohort net mask (pairs toward dropped partners included:
-/// that recomputation *is* the dropout compensation), unmask, and fold into
-/// the cohort sum. Returns `None` if any survivor's word count differs from
-/// `dim` or a survivor is not a cohort member.
-///
-/// Because unmasking is per-device lossless, the result is bitwise identical
-/// to summing the survivors' raw gradients in the same ascending order —
-/// whatever subset of the cohort survived.
-pub fn finalize_sum(
-    seed: u64,
-    cohort: &[u64],
-    survivors: &[(u64, Vec<u64>)],
-    dim: usize,
-) -> Option<Vec<f64>> {
-    let mut sum = vec![0.0f64; dim];
-    let mut ordered: Vec<&(u64, Vec<u64>)> = survivors.iter().collect();
-    ordered.sort_by_key(|(d, _)| *d);
-    for (device_id, words) in ordered {
-        if words.len() != dim || cohort.binary_search(device_id).is_err() {
-            return None;
-        }
-        let mask_words = net_mask(seed, *device_id, cohort, dim);
-        for (acc, g) in sum.iter_mut().zip(unmask(words, &mask_words)) {
-            *acc += g;
-        }
-    }
-    Some(sum)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,73 +131,5 @@ mod tests {
             };
             assert_eq!(role_of(seed, d, 64, 0.3), expected);
         }
-    }
-
-    #[test]
-    fn net_masks_cancel_over_the_full_cohort() {
-        let seed = round_seed(9, 5);
-        let members = cohort(seed, 12, 0.6);
-        let dim = 17;
-        let mut total = vec![0u64; dim];
-        for &d in &members {
-            for (t, m) in total.iter_mut().zip(net_mask(seed, d, &members, dim)) {
-                *t = t.wrapping_add(m);
-            }
-        }
-        assert!(total.iter().all(|&w| w == 0));
-    }
-
-    #[test]
-    fn mask_roundtrips_bitwise() {
-        let seed = round_seed(1, 2);
-        let members = vec![0, 3, 5];
-        let gradient = [1.5, -0.25, f64::MIN_POSITIVE, 0.0, -0.0];
-        let m = net_mask(seed, 3, &members, gradient.len());
-        let words = mask(&gradient, &m);
-        // The wire words are not the raw bits (cohort ≥ 2 ⇒ nonzero mask).
-        assert_ne!(
-            words,
-            gradient.iter().map(|g| g.to_bits()).collect::<Vec<_>>()
-        );
-        let back = unmask(&words, &m);
-        for (orig, got) in gradient.iter().zip(&back) {
-            assert_eq!(orig.to_bits(), got.to_bits());
-        }
-    }
-
-    #[test]
-    fn finalize_matches_unmasked_sum_under_dropouts() {
-        let seed = round_seed(11, 4);
-        let members = cohort(seed, 8, 0.9);
-        let dim = 6;
-        let gradients: Vec<Vec<f64>> = members
-            .iter()
-            .map(|&d| {
-                (0..dim)
-                    .map(|c| (d as f64 + 1.0) * 0.1 - c as f64 * 0.01)
-                    .collect()
-            })
-            .collect();
-        // Drop one member; the rest survive.
-        let survivors: Vec<(u64, Vec<u64>)> = members
-            .iter()
-            .zip(&gradients)
-            .skip(1)
-            .map(|(&d, g)| (d, mask(g, &net_mask(seed, d, &members, dim))))
-            .collect();
-        let finalized = finalize_sum(seed, &members, &survivors, dim).unwrap();
-        let mut expected = vec![0.0; dim];
-        for (_, g) in members.iter().zip(&gradients).skip(1) {
-            for (e, v) in expected.iter_mut().zip(g) {
-                *e += v;
-            }
-        }
-        assert_eq!(
-            finalized.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-            expected.iter().map(|f| f.to_bits()).collect::<Vec<_>>()
-        );
-        // A survivor outside the cohort, or a dimension mismatch, is refused.
-        assert!(finalize_sum(seed, &members, &[(999, vec![0; dim])], dim).is_none());
-        assert!(finalize_sum(seed, &members, &[(members[0], vec![0; 2])], dim).is_none());
     }
 }

@@ -170,9 +170,9 @@ impl ChurnSchedule {
 
     /// Whether the device drops out of cohort round `round_id` mid-round: it
     /// checks out, derives a Selected role, and then vanishes without ever
-    /// submitting its masked share. About a fifth of `(device, round)` pairs
-    /// drop; the aggregator must finalize such rounds at their deadline from
-    /// the survivors alone, compensating the missing pairwise masks.
+    /// submitting its share. About a fifth of `(device, round)` pairs drop;
+    /// the aggregator must finalize such rounds at their deadline from the
+    /// survivors alone.
     pub fn round_dropout(&self, device_id: u64, round_id: u64) -> bool {
         let mut rng =
             StdRng::seed_from_u64(mix(self.seed, device_id ^ round_id.rotate_left(16), 0x40));

@@ -173,22 +173,6 @@ pub(crate) fn get_i64_vec(buf: &mut &[u8], what: &str) -> DecodeResult<Vec<i64>>
     Ok(out)
 }
 
-pub(crate) fn put_u64_slice(buf: &mut Vec<u8>, values: &[u64]) {
-    put_u32(buf, values.len() as u32);
-    for &v in values {
-        put_u64(buf, v);
-    }
-}
-
-pub(crate) fn get_u64_vec(buf: &mut &[u8], what: &str) -> DecodeResult<Vec<u64>> {
-    let len = get_len(buf, what)?;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(get_u64(buf, what)?);
-    }
-    Ok(out)
-}
-
 // ---------------------------------------------------------------------------
 // EpochAggregate
 // ---------------------------------------------------------------------------
@@ -256,7 +240,7 @@ pub struct EpochRecord {
 pub enum WalRecord {
     /// An applied (or about-to-be-applied) aggregation epoch.
     Epoch(EpochRecord),
-    /// A masked round submission accepted into the open round.
+    /// A round submission accepted into the open round.
     RoundSubmit {
         /// The round the submission was accepted into.
         round_id: u64,
@@ -304,7 +288,7 @@ fn put_submission(buf: &mut Vec<u8>, sub: &PendingSubmission) {
     put_u64(buf, sub.device_id);
     put_u64(buf, sub.nonce);
     put_u64(buf, sub.checkout_iteration);
-    put_u64_slice(buf, &sub.words);
+    put_f64_slice(buf, &sub.gradient);
     put_u32(buf, sub.num_samples);
     put_i64(buf, sub.error_count);
     put_i64_slice(buf, &sub.label_counts);
@@ -315,7 +299,7 @@ fn get_submission(buf: &mut &[u8]) -> DecodeResult<PendingSubmission> {
         device_id: get_u64(buf, "submission device id")?,
         nonce: get_u64(buf, "submission nonce")?,
         checkout_iteration: get_u64(buf, "submission checkout iteration")?,
-        words: get_u64_vec(buf, "submission words")?,
+        gradient: get_f64_vec(buf, "submission gradient")?,
         num_samples: get_u32(buf, "submission num_samples")?,
         error_count: get_i64(buf, "submission error_count")?,
         label_counts: get_i64_vec(buf, "submission label counts")?,
@@ -324,7 +308,7 @@ fn get_submission(buf: &mut &[u8]) -> DecodeResult<PendingSubmission> {
 
 /// Encodes a round-submission record into a WAL payload.
 pub fn encode_round_submit_record(round_id: u64, submission: &PendingSubmission) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64 + 8 * submission.words.len());
+    let mut buf = Vec::with_capacity(64 + 8 * submission.gradient.len());
     put_u8(&mut buf, RECORD_KIND_ROUND_SUBMIT);
     put_u64(&mut buf, round_id);
     put_submission(&mut buf, submission);
@@ -606,7 +590,7 @@ mod tests {
                     device_id: 9,
                     nonce: 0x0102_0304,
                     checkout_iteration: 41,
-                    words: vec![0, u64::MAX, 0x0807_0605_0403_0201],
+                    gradient: vec![0.0, -0.0, f64::MIN_POSITIVE],
                     num_samples: 16,
                     error_count: 3,
                     label_counts: vec![7, 9],
@@ -689,7 +673,7 @@ mod tests {
             device_id: 12,
             nonce: 777,
             checkout_iteration: 55,
-            words: vec![1, 2, u64::MAX],
+            gradient: vec![1.5, -2.25, f64::MAX],
             num_samples: 8,
             error_count: -2,
             label_counts: vec![3, 5],

@@ -15,8 +15,9 @@ use std::fs::File;
 use std::io::{Read, Write};
 use std::path::Path;
 
-/// Magic bytes opening every snapshot file.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CMLSNAP1";
+/// Magic bytes opening every snapshot file. The last digit is the state
+/// format version: 2 holds pending round submissions as f64 gradients.
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CMLSNAP2";
 
 /// File name of the live snapshot inside a data directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";

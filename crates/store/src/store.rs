@@ -45,7 +45,7 @@ pub struct RecoveryReport {
     /// Logged epochs whose apply was refused (identically refused in the
     /// original run — e.g. malformed but logged; normally 0).
     pub skipped_epochs: u64,
-    /// Masked round submissions replayed into the open round.
+    /// Round submissions replayed into the open round.
     pub replayed_submissions: u64,
     /// Round boundaries (finalize or expiry) replayed.
     pub replayed_rounds: u64,
@@ -564,20 +564,15 @@ mod tests {
         )
     }
 
-    /// A well-formed masked submission for the open round.
+    /// A well-formed submission for the open round.
     fn round_submission(server: &Server<MulticlassLogistic>, device_id: u64) -> PendingSubmission {
-        let info = server.round_info().unwrap();
-        let cohort = server.round_cohort().unwrap().to_vec();
-        let dim = DIM * CLASSES;
-        let gradient: Vec<f64> = (0..dim)
-            .map(|i| (device_id as f64 + 1.0) * 0.25 + i as f64 * 0.125)
-            .collect();
-        let masks = crowd_rounds::net_mask(info.seed, device_id, &cohort, dim);
         PendingSubmission {
             device_id,
             nonce: 1000 + device_id,
             checkout_iteration: server.iteration(),
-            words: crowd_rounds::mask(&gradient, &masks),
+            gradient: (0..DIM * CLASSES)
+                .map(|i| (device_id as f64 + 1.0) * 0.25 + i as f64 * 0.125)
+                .collect(),
             num_samples: 2,
             error_count: 1,
             label_counts: vec![1, 1],

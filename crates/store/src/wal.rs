@@ -14,8 +14,9 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-/// Magic bytes opening every WAL segment.
-pub const WAL_MAGIC: &[u8; 8] = b"CMLWAL01";
+/// Magic bytes opening every WAL segment. The last two digits are the
+/// record format version: 02 logs round submissions as f64 gradients.
+pub const WAL_MAGIC: &[u8; 8] = b"CMLWAL02";
 
 /// Upper bound on a single record's payload (a merged epoch of a very large
 /// model is tens of megabytes; anything near this cap is corruption).
@@ -38,10 +39,27 @@ pub struct SegmentContents {
 /// Reads a segment, tolerating a torn tail.
 ///
 /// A missing or too-short magic makes the whole segment count as empty
-/// (`valid_len` = 0), which the writer repairs by rewriting the header.
+/// (`valid_len` = 0), which the writer repairs by rewriting the header. A
+/// complete magic of another format version is an `InvalidData` error: its
+/// records would be misread, and discarding them would forget ε spend.
 pub fn read_segment(path: &Path) -> std::io::Result<SegmentContents> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
+    let version_at = WAL_MAGIC.len() - 2;
+    if bytes.len() >= WAL_MAGIC.len()
+        && bytes[..version_at] == WAL_MAGIC[..version_at]
+        && bytes[..WAL_MAGIC.len()] != WAL_MAGIC[..]
+    {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!(
+                "{} has WAL format {}, this build reads {}",
+                path.display(),
+                String::from_utf8_lossy(&bytes[..WAL_MAGIC.len()]),
+                String::from_utf8_lossy(WAL_MAGIC)
+            ),
+        ));
+    }
     if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
         return Ok(SegmentContents {
             records: Vec::new(),
@@ -264,6 +282,10 @@ mod tests {
         drop(wal);
         let contents = read_segment(&path).unwrap();
         assert_eq!(contents.records, vec![vec![1]]);
+        // A segment of another format version is refused, not wiped.
+        std::fs::write(&path, b"CMLWAL01\x01\x02").unwrap();
+        let err = read_segment(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

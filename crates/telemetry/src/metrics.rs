@@ -61,6 +61,9 @@ metric_ids! {
         BatchedEpochs => "batched_epochs",
         /// Malformed checkins dropped at ingest (agg).
         IngestErrors => "ingest_errors",
+        /// Checkins and round submissions refused at admission for a NaN or
+        /// infinite gradient coordinate (agg).
+        NonfiniteRejections => "nonfinite_rejections",
         /// WAL appends that failed, voiding their epoch (agg/store).
         WalErrors => "wal_errors",
         /// Epoch applies the server refused (agg).
@@ -89,7 +92,7 @@ metric_ids! {
         QuantizedCheckins => "quantized_checkins",
         /// Wire bytes saved by quantized versus dense gradient encoding (net).
         QuantizedBytesSaved => "quantized_bytes_saved",
-        /// Masked round submissions accepted into a cohort (agg).
+        /// Round submissions accepted into a cohort (agg).
         RoundSubmissions => "round_submissions",
         /// Rounds finalized with at least one surviving submission (agg).
         RoundsFinalized => "rounds_finalized",
@@ -135,7 +138,7 @@ metric_ids! {
         SnapshotUs => "snapshot_us",
         /// ε charged per checkin, in micro-ε (dp).
         EpsSpendMicroeps => "eps_spend_microeps",
-        /// Round finalization (unmask + fold + WAL + apply) latency (agg, µs).
+        /// Round finalization (fold + WAL + apply) latency (agg, µs).
         RoundFinalizeUs => "round_finalize_us",
     }
 }

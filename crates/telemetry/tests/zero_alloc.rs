@@ -6,20 +6,36 @@
 //! unchanged. Snapshots and dumps are explicitly *allowed* to allocate —
 //! they run off the request path — and the test pins that asymmetry.
 //!
+//! Allocations are counted per thread: libtest runs the tests of this
+//! binary in parallel, and a process-wide count would let a sibling test's
+//! allocations land inside the measured window.
+//!
 //! Lives in an integration test because the library itself is
 //! `#![forbid(unsafe_code)]`; the `GlobalAlloc` impl needs `unsafe`.
 
 use crowd_telemetry::{Clock, CounterId, GaugeId, HistogramId, Registry, Stage};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and destructor-free, so touching it from inside the
+    // allocator never allocates itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_allocation() {
+    // `try_with`: the slot may already be gone while a thread is exiting.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees carry over; the counting side effect
+// touches only a const-initialized thread-local `Cell` and never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -28,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -36,10 +52,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made by the calling thread while `f` runs.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = ALLOCATIONS.with(Cell::get);
     let result = f();
-    (ALLOCATIONS.load(Ordering::SeqCst) - before, result)
+    (ALLOCATIONS.with(Cell::get) - before, result)
 }
 
 #[test]

@@ -19,9 +19,8 @@
 //!   and experiment runners.
 //! * [`agg`] — the sharded, batched gradient-aggregation runtime the TCP server
 //!   serves from.
-//! * [`rounds`] — the round-based cohort protocol (wire v6): seed-derived
-//!   round/cohort/role derivation and the pairwise additive masking that
-//!   cancels bitwise in the finalized cohort sum.
+//! * [`rounds`] — the round-based cohort protocol: seed-derived
+//!   round/cohort/role derivation.
 //! * [`store`] — durable server state: CRC-framed write-ahead log, atomic
 //!   snapshots, and bitwise crash recovery.
 //! * [`telemetry`] — crowd-scope observability: the typed metric registry,
@@ -64,7 +63,7 @@
 //! let mut session = client.join_round()?;
 //! loop {
 //!     match session.role() {
-//!         // Selected: submit one masked contribution to the cohort sum.
+//!         // Selected: submit one contribution to the cohort sum.
 //!         Role::Selected => match session.submit(&payload)? {
 //!             // The round closed mid-computation; rejoin and go again.
 //!             CheckinOutcome::RoundOutdated { .. } => session = session.resync()?,

@@ -210,9 +210,9 @@ fn churn_crash_body(seed: u64) {
 }
 
 fn rounds_body(seed: u64) {
-    // Leg 1 — transport transparency with masking in the path: a rounds-mode
+    // Leg 1 — transport transparency on the round path: a rounds-mode
     // run under transport-only faults must land bitwise on the rounds-mode
-    // fault-free reference. Masked shares ride the same retry + dedup
+    // fault-free reference. Round shares ride the same retry + dedup
     // machinery as free-run checkins (per-round, the server keys dedup on
     // `(round, nonce)`), so faults must stay invisible.
     let reference_cluster = ChaosCluster::new(FaultPlan::fault_free(seed)).with_rounds();
@@ -257,7 +257,7 @@ fn rounds_body(seed: u64) {
     }
     // Leg 2 — scripted mid-round dropouts plus churn: cohort members vanish
     // without submitting and rounds finalize at their deadline from the
-    // survivors (mask compensation). The ledger invariant must still hold:
+    // survivors alone. The ledger invariant must still hold:
     // only acknowledged contributions are ever charged.
     let stormy = match ChaosCluster::new(FaultPlan::rounds(seed))
         .with_rounds()

@@ -276,24 +276,10 @@ fn parity_payload(device: u64, round: u64, iteration: u64) -> CheckinPayload {
 }
 
 /// Submits `payload` to the runtime's open round and expects an ack.
-fn parity_submit(rt: &AggRuntime<MulticlassLogistic>, payload: &CheckinPayload) {
+fn parity_submit(rt: &AggRuntime<MulticlassLogistic>, payload: CheckinPayload) {
     use crowd_ml::agg::RoundSubmitOutcome;
-    use crowd_ml::core::server::PendingSubmission;
-    let info = rt.round_info().unwrap();
-    let cohort = crowd_ml::rounds::cohort(info.seed, info.population, info.select_fraction);
-    let gradient = payload.gradient.to_dense();
-    let masks =
-        crowd_ml::rounds::net_mask(info.seed, payload.device_id, &cohort, gradient.len());
-    let submission = PendingSubmission {
-        device_id: payload.device_id,
-        nonce: payload.nonce,
-        checkout_iteration: payload.checkout_iteration,
-        words: crowd_ml::rounds::mask(gradient.as_slice(), &masks),
-        num_samples: payload.num_samples as u32,
-        error_count: payload.error_count,
-        label_counts: payload.label_counts.clone(),
-    };
-    match rt.submit_round(info.round_id, submission).unwrap() {
+    let round_id = rt.round_info().unwrap().round_id;
+    match rt.submit_round(round_id, payload).unwrap() {
         RoundSubmitOutcome::Acked(outcome) => assert!(outcome.accepted && !outcome.deduped),
         other => panic!("expected an ack, got {other:?}"),
     }
@@ -313,7 +299,10 @@ fn sequential_rounds_run_matches_pinned_digest() {
         assert_eq!(info.round_id, round + 1);
         let cohort = crowd_ml::rounds::cohort(info.seed, info.population, info.select_fraction);
         for &device in &cohort {
-            parity_submit(&complete, &parity_payload(device, round, complete.iteration()));
+            parity_submit(
+                &complete,
+                parity_payload(device, round, complete.iteration()),
+            );
         }
         assert_eq!(complete.round_info().unwrap().round_id, round + 2);
     }
@@ -330,14 +319,13 @@ fn sequential_rounds_run_matches_pinned_digest() {
             .expect("a fraction-0.5 cohort leaves someone out");
         // The last member drops out mid-round; the others submit.
         for &device in &cohort[..cohort.len() - 1] {
-            parity_submit(&dropout, &parity_payload(device, round, dropout.iteration()));
+            parity_submit(&dropout, parity_payload(device, round, dropout.iteration()));
         }
         let mut step = 0;
         while dropout.round_info().unwrap().round_id == info.round_id {
             let mut free = parity_payload(outsider, round, dropout.iteration());
             free.nonce = 0;
-            free.gradient = determinism_payload(outsider, 1000 + round * 8 + step)
-                .gradient;
+            free.gradient = determinism_payload(outsider, 1000 + round * 8 + step).gradient;
             assert!(dropout.checkin(free).unwrap().accepted);
             step += 1;
         }

@@ -170,9 +170,8 @@ proptest! {
             GradientPayload::Sparse { dim, indices, values } => GradientUpdate::Sparse(
                 SparseVector::new(dim as usize, indices, values).unwrap(),
             ),
-            // from_dense_auto never picks the lossy or round-only encodings.
+            // from_dense_auto never picks the lossy encoding.
             GradientPayload::Quantized { .. } => panic!("auto-selection produced Quantized"),
-            GradientPayload::Masked { .. } => panic!("auto-selection produced Masked"),
         };
         prop_assert_eq!(received.to_dense().as_slice(), &dense[..]);
 
@@ -309,15 +308,15 @@ proptest! {
     // all), so this sweep runs fewer cases than the pure-math properties.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Masked round finalization is shard-count independent: the same cohort
+    /// Round finalization is shard-count independent: the same cohort
     /// submissions with the same dropout subset land on bitwise-identical
     /// parameters whatever the runtime's shard layout, because the pending
     /// round buffer is folded in ascending device order outside the shard
-    /// path. Together with `crates/rounds/tests/mask_cancellation.rs` (masked
-    /// sum == unmasked sum) this closes the loop over cohorts, dropouts, and
-    /// shard counts.
+    /// path. Together with `crates/core/tests/round_finalize.rs` (finalize
+    /// == ascending plain sum) this closes the loop over cohorts, dropouts,
+    /// and shard counts.
     #[test]
-    fn masked_round_finalization_is_shard_count_independent(
+    fn round_finalization_is_shard_count_independent(
         seed in 0u64..10_000,
         population in 2u64..10,
         shard_a in 1usize..8,
@@ -326,7 +325,8 @@ proptest! {
     ) {
         use crowd_ml::agg::AggRuntime;
         use crowd_ml::core::config::{AggSettings, RoundSettings, ServerConfig};
-        use crowd_ml::core::server::{PendingSubmission, Server};
+        use crowd_ml::core::device::CheckinPayload;
+        use crowd_ml::core::server::Server;
 
         let dim = 4usize;
         let classes = 3usize;
@@ -366,23 +366,20 @@ proptest! {
                 .map(|(_, d)| d)
                 .collect();
             for &d in &survivors {
-                let mask_words =
-                    crowd_ml::rounds::net_mask(info.seed, d, &members, param_dim);
-                let words = crowd_ml::rounds::mask(&gradient(d), &mask_words);
                 runtime
-                    .submit_round(info.round_id, PendingSubmission {
+                    .submit_round(info.round_id, CheckinPayload {
                         device_id: d,
                         nonce: info.round_id + 1,
                         checkout_iteration: 0,
-                        words,
-                        num_samples: 2 * classes as u32,
+                        gradient: Vector::from_vec(gradient(d)).into(),
+                        num_samples: 2 * classes,
                         error_count: 1,
                         label_counts: vec![2; classes],
                     })
                     .unwrap();
             }
             // Dropped members never submit; settle finalizes the partial
-            // cohort with mask compensation (a full cohort finalized inline).
+            // cohort (a full cohort finalized inline).
             runtime.settle_rounds();
             let bits: Vec<u64> = runtime.params().iter().map(|v| v.to_bits()).collect();
             let iteration = runtime.iteration();

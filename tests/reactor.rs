@@ -153,3 +153,129 @@ fn chaos_crash_recovery_works_through_the_reactor() {
         std::fs::remove_dir_all(&dir).unwrap();
     });
 }
+
+/// Admission refuses a NaN or infinite gradient, or one of the wrong
+/// dimension, on both the free-run and the round path: each gets a typed
+/// `BadRequest` on the same connection, the model stays finite, no ε is
+/// charged, and `nonfinite_rejections` counts the non-finite refusals.
+#[test]
+fn nonfinite_and_misshapen_gradients_are_refused_on_both_paths() {
+    under_watchdog(Duration::from_secs(60), || {
+        use crowd_ml::core::config::{RoundSettings, ServerConfig};
+        use crowd_ml::proto::frame::{read_message, write_message};
+        use crowd_ml::proto::message::{CheckinRequest, ErrorCode, GradientPayload, Message};
+
+        let model = MulticlassLogistic::new(2, 3).unwrap();
+        let config = ServerConfig::new()
+            .with_budget(0.5, f64::INFINITY)
+            .with_rounds(
+                RoundSettings::new(2)
+                    .with_select_fraction(1.0)
+                    .with_deadline_epochs(100),
+            );
+        let tokens = TokenRegistry::with_derived_tokens(2, 5);
+        let handle = ReactorServer::start(model, config, tokens).unwrap();
+        let mut conn = std::net::TcpStream::connect(handle.addr()).unwrap();
+        let mut exchange = |round_id: u64, gradient: Vec<f64>| {
+            let request = Message::CheckinRequest(CheckinRequest {
+                device_id: 0,
+                token: AuthToken::derive(0, 5),
+                checkout_iteration: 0,
+                nonce: 0,
+                round_id,
+                gradient: GradientPayload::Dense(gradient),
+                num_samples: 2,
+                error_count: 0,
+                label_counts: vec![1, 1, 0],
+            });
+            write_message(&mut conn, &request).unwrap();
+            read_message(&mut conn).unwrap()
+        };
+        let mut nan = vec![0.25; 6];
+        nan[3] = f64::NAN;
+        let mut inf = vec![0.25; 6];
+        inf[0] = f64::NEG_INFINITY;
+        for (round_id, gradient) in [(0, nan.clone()), (1, nan), (1, inf), (1, vec![0.25; 5])] {
+            match exchange(round_id, gradient) {
+                Message::Error(e) => assert_eq!(e.code, ErrorCode::BadRequest, "{e:?}"),
+                other => panic!("expected BadRequest, got {}", other.name()),
+            }
+        }
+        assert!(handle.params().iter().all(|v| v.is_finite()));
+        assert_eq!(handle.iteration(), 0);
+        assert!(
+            handle.budget_ledger().is_empty(),
+            "refusals must not charge ε"
+        );
+        assert_eq!(handle.runtime_stats().get("nonfinite_rejections"), 3);
+        assert_eq!(handle.runtime_stats().get("round_submissions"), 0);
+        // The connection survived every refusal: a valid checkin on it applies.
+        match exchange(0, vec![0.25; 6]) {
+            Message::CheckinAck(ack) => assert!(ack.accepted),
+            other => panic!("expected an ack, got {}", other.name()),
+        }
+        assert!(handle.params().iter().all(|v| v.is_finite()));
+        assert_eq!(handle.budget_ledger(), vec![(0, 0.5)]);
+        handle.shutdown();
+    });
+}
+
+/// Round submissions carry the checkin encodings: a cohort whose members
+/// submit dense, sparse and quantized gradients is accepted and finalized
+/// to the same parameter bits as one whose members submit the dense forms
+/// of the same gradients.
+#[test]
+fn sparse_and_quantized_round_submissions_are_applied() {
+    under_watchdog(Duration::from_secs(60), || {
+        use crowd_ml::core::config::{RoundSettings, ServerConfig};
+        use crowd_ml::core::device::CheckinPayload;
+        use crowd_ml::linalg::{GradientUpdate, QuantizedVector, SparseVector, Vector};
+
+        let gradients = [
+            GradientUpdate::Dense(Vector::from_vec(vec![0.5, -0.25, 0.0, 1.0, 0.125, -2.0])),
+            GradientUpdate::Sparse(SparseVector::new(6, vec![1, 4], vec![0.75, -1.5]).unwrap()),
+            GradientUpdate::Quantized(
+                QuantizedVector::from_parts(0.0625, vec![3, -7, 0, 12, -1, 5]).unwrap(),
+            ),
+        ];
+        let run = |as_sent: bool| {
+            let model = MulticlassLogistic::new(2, 3).unwrap();
+            let config = ServerConfig::new().with_rate_constant(1.0).with_rounds(
+                RoundSettings::new(3)
+                    .with_select_fraction(1.0)
+                    .with_deadline_epochs(100),
+            );
+            let tokens = TokenRegistry::with_derived_tokens(3, 5);
+            let handle = ReactorServer::start(model, config, tokens).unwrap();
+            for (d, gradient) in gradients.iter().enumerate() {
+                let client =
+                    DeviceClient::builder(handle.addr(), d as u64, AuthToken::derive(d as u64, 5))
+                        .build();
+                let session = client.join_round().unwrap();
+                let payload = CheckinPayload {
+                    device_id: d as u64,
+                    checkout_iteration: 0,
+                    nonce: 1,
+                    gradient: if as_sent {
+                        gradient.clone()
+                    } else {
+                        gradient.to_dense().into()
+                    },
+                    num_samples: 2,
+                    error_count: 0,
+                    label_counts: vec![1, 1, 0],
+                };
+                assert!(session.submit(&payload).unwrap().applied());
+            }
+            let stats = handle.runtime_stats();
+            assert_eq!(stats.get("rounds_finalized"), 1);
+            assert_eq!(stats.get("checkins_applied"), 3);
+            let params: Vec<u64> = handle.params().iter().map(|v| v.to_bits()).collect();
+            handle.shutdown();
+            params
+        };
+        let mixed = run(true);
+        assert!(mixed.iter().any(|&b| b != 0), "the round moved the model");
+        assert_eq!(mixed, run(false));
+    });
+}
