@@ -24,7 +24,7 @@ use crate::{AggError, Result};
 use crowd_core::config::AggSettings;
 use crowd_core::device::CheckinPayload;
 use crowd_core::server::{
-    CheckinOutcome, CheckoutTicket, EpochAggregate, PendingSubmission, RoundAdmission, RoundInfo,
+    AppliedCheckin, CheckoutTicket, EpochAggregate, PendingSubmission, RoundAdmission, RoundInfo,
     Server,
 };
 use crowd_learning::model::Model;
@@ -60,7 +60,7 @@ const DEDUP_CAPACITY: usize = 8192;
 
 struct Job {
     payload: CheckinPayload,
-    reply: mpsc::Sender<CheckinOutcome>,
+    reply: mpsc::Sender<AppliedCheckin>,
     /// When the checkin was admitted, for the end-to-end latency histogram
     /// (`checkin_latency_us`: queue wait + shard ingest + epoch apply + ack).
     submitted: Tick,
@@ -134,7 +134,7 @@ pub enum RoundSubmitOutcome {
     /// The contribution stands (freshly accepted, or a deduplicated retry of
     /// one that already did — `outcome.deduped` distinguishes them). It is
     /// applied to the model when the round finalizes.
-    Acked(CheckinOutcome),
+    Acked(AppliedCheckin),
     /// The named round has closed; the device must refetch parameters (which
     /// carry the current `RoundParams`) and resync.
     Outdated {
@@ -146,18 +146,18 @@ pub enum RoundSubmitOutcome {
 /// A ticket for a submitted checkin: blocks until the checkin's epoch has been
 /// applied and the outcome is known.
 pub struct CompletionHandle {
-    rx: mpsc::Receiver<CheckinOutcome>,
+    rx: mpsc::Receiver<AppliedCheckin>,
 }
 
 impl CompletionHandle {
     /// Waits for the checkin's epoch to be applied.
-    pub fn wait(self) -> Result<CheckinOutcome> {
+    pub fn wait(self) -> Result<AppliedCheckin> {
         self.rx.recv().map_err(|_| AggError::ShuttingDown)
     }
 
     /// Waits up to `timeout`; `Err(ShuttingDown)` if the runtime died,
     /// `Err(Timeout)` if the epoch was not applied in time.
-    pub fn wait_timeout(self, timeout: Duration) -> Result<CheckinOutcome> {
+    pub fn wait_timeout(self, timeout: Duration) -> Result<AppliedCheckin> {
         match self.rx.recv_timeout(timeout) {
             Ok(outcome) => Ok(outcome),
             Err(mpsc::RecvTimeoutError::Timeout) => Err(AggError::Timeout),
@@ -319,7 +319,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
                 Admission::Replay(outcome) => {
                     self.inner.metrics.incr(CounterId::DedupReplays);
                     let (tx, rx) = mpsc::channel();
-                    let _ = tx.send(CheckinOutcome {
+                    let _ = tx.send(AppliedCheckin {
                         deduped: true,
                         ..outcome
                     });
@@ -377,7 +377,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
     }
 
     /// Submits a checkin and blocks until its epoch is applied.
-    pub fn checkin(&self, payload: CheckinPayload) -> Result<CheckinOutcome> {
+    pub fn checkin(&self, payload: CheckinPayload) -> Result<AppliedCheckin> {
         self.submit(payload)?.wait()
     }
 
@@ -436,7 +436,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
                         return Err(AggError::ShuttingDown);
                     }
                 }
-                let outcome = CheckinOutcome {
+                let outcome = AppliedCheckin {
                     accepted: true,
                     iteration: core.iteration(),
                     stopped: core.stopped(),
@@ -454,7 +454,7 @@ impl<M: Model + Send + 'static> AggRuntime<M> {
                 Ok(RoundSubmitOutcome::Acked(outcome))
             }
             RoundAdmission::Duplicate => {
-                let outcome = CheckinOutcome {
+                let outcome = AppliedCheckin {
                     accepted: true,
                     iteration: core.iteration(),
                     stopped: core.stopped(),
@@ -747,7 +747,7 @@ fn worker_loop<M: Model>(inner: Arc<Inner<M>>) {
                     }
                     let snap = inner.snapshot.read().clone();
                     inner.metrics.incr(CounterId::IngestErrors);
-                    let _ = rejected.reply.send(CheckinOutcome {
+                    let _ = rejected.reply.send(AppliedCheckin {
                         accepted: false,
                         iteration: snap.iteration,
                         stopped: snap.stopped,
@@ -794,7 +794,7 @@ fn durable_apply<M: Model>(
     inner: &Inner<M>,
     mut core: MutexGuard<'_, Server<M>>,
     epoch: &EpochAggregate,
-) -> (CheckinOutcome, bool) {
+) -> (AppliedCheckin, bool) {
     let merge_start = inner.metrics.start();
     // The ε charges feed both the WAL record (durable runtimes) and the
     // ε-spend distribution (whenever budget accounting is on); skip the
@@ -808,7 +808,7 @@ fn durable_apply<M: Model>(
         let mut store = store.lock();
         if let Err(e) = store.log_epoch(core.iteration(), epoch, charges.as_deref().unwrap_or(&[]))
         {
-            let outcome = CheckinOutcome {
+            let outcome = AppliedCheckin {
                 accepted: false,
                 iteration: core.iteration(),
                 stopped: core.stopped(),
@@ -865,7 +865,7 @@ fn durable_apply<M: Model>(
         Err(_) => {
             // Unreachable for payloads that passed submit-time validation; fail
             // the epoch's checkins without taking a step.
-            let outcome = CheckinOutcome {
+            let outcome = AppliedCheckin {
                 accepted: false,
                 iteration: core.iteration(),
                 stopped: core.stopped(),
@@ -921,7 +921,7 @@ fn apply_singleton<M: Model>(inner: &Inner<M>, job: Job) {
 }
 
 /// Marks a checkin's nonce as completed with its outcome (no-op for nonce 0).
-fn record_dedup<M: Model>(inner: &Inner<M>, device_id: u64, nonce: u64, outcome: CheckinOutcome) {
+fn record_dedup<M: Model>(inner: &Inner<M>, device_id: u64, nonce: u64, outcome: AppliedCheckin) {
     if nonce != 0 {
         inner.dedup.lock().complete((device_id, nonce), outcome);
     }
@@ -958,7 +958,7 @@ fn merge<M: Model>(inner: &Inner<M>) {
     // applied at (the pre-update iteration, as in the classic checkin path).
     let pre_iteration = outcome.iteration - u64::from(outcome.accepted);
     for waiter in waiters {
-        let per_checkin = CheckinOutcome {
+        let per_checkin = AppliedCheckin {
             accepted: outcome.accepted,
             iteration: outcome.iteration,
             stopped: outcome.stopped,
@@ -1273,7 +1273,7 @@ mod tests {
         let replayed = rt.checkin(p).unwrap();
         assert!(replayed.deduped);
         assert_eq!(
-            CheckinOutcome {
+            AppliedCheckin {
                 deduped: false,
                 ..replayed
             },

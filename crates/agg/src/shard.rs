@@ -23,7 +23,7 @@
 //! applied.
 
 use crowd_core::device::CheckinPayload;
-use crowd_core::server::{CheckinOutcome, DeviceEpochStats, EpochAggregate};
+use crowd_core::server::{AppliedCheckin, DeviceEpochStats, EpochAggregate};
 use crowd_linalg::Vector;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -53,7 +53,7 @@ pub(crate) struct Waiter {
     pub(crate) device_id: u64,
     /// The checkin's dedup nonce (0 = no dedup requested).
     pub(crate) nonce: u64,
-    pub(crate) reply: mpsc::Sender<CheckinOutcome>,
+    pub(crate) reply: mpsc::Sender<AppliedCheckin>,
     /// When the checkin was admitted, redeemed for `checkin_latency_us` at ack.
     pub(crate) submitted: crowd_telemetry::Tick,
 }
@@ -392,7 +392,7 @@ mod tests {
         }
     }
 
-    fn waiter() -> (Waiter, mpsc::Receiver<CheckinOutcome>) {
+    fn waiter() -> (Waiter, mpsc::Receiver<AppliedCheckin>) {
         let (tx, rx) = mpsc::channel();
         (
             Waiter {

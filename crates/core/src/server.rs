@@ -102,7 +102,7 @@ impl EpochAggregate {
 
 /// The result of applying a checkin (Server Routine 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckinOutcome {
+pub struct AppliedCheckin {
     /// Whether the gradient was applied (a stopped server rejects new gradients).
     pub accepted: bool,
     /// The server iteration after this checkin.
@@ -741,7 +741,7 @@ impl<M: Model> Server<M> {
     }
 
     /// Server Routine 2: apply one sanitized checkin.
-    pub fn checkin(&mut self, payload: &CheckinPayload) -> Result<CheckinOutcome> {
+    pub fn checkin(&mut self, payload: &CheckinPayload) -> Result<AppliedCheckin> {
         if payload.gradient.dim() != self.params.len() {
             return Err(CoreError::Protocol(format!(
                 "checkin gradient has dimension {}, expected {}",
@@ -761,6 +761,14 @@ impl<M: Model> Server<M> {
                 "checkin must cover at least one sample".into(),
             ));
         }
+        // One NaN or ±∞ coordinate would poison every parameter it touches
+        // and survive the projection, so it is refused before any state (the
+        // parameters or the ε ledger) changes.
+        if !payload.gradient.is_finite() {
+            return Err(CoreError::Protocol(
+                "checkin gradient has a non-finite coordinate".into(),
+            ));
+        }
 
         self.apply_aggregate(&EpochAggregate::from_payload(payload))
     }
@@ -771,7 +779,7 @@ impl<M: Model> Server<M> {
     /// acceptance, so the server's view of data volume stays accurate) and, if
     /// the task has not stopped, takes one projected SGD step with the epoch's
     /// *mean* gradient `w ← Π_W[w − η(t)·(Σĝ)/k]`.
-    pub fn apply_aggregate(&mut self, epoch: &EpochAggregate) -> Result<CheckinOutcome> {
+    pub fn apply_aggregate(&mut self, epoch: &EpochAggregate) -> Result<AppliedCheckin> {
         if epoch.gradient_sum.len() != self.params.len() {
             return Err(CoreError::Protocol(format!(
                 "epoch gradient has dimension {}, expected {}",
@@ -830,7 +838,7 @@ impl<M: Model> Server<M> {
         }
 
         if self.stopped() {
-            return Ok(CheckinOutcome {
+            return Ok(AppliedCheckin {
                 accepted: false,
                 iteration: self.iteration,
                 stopped: true,
@@ -851,7 +859,7 @@ impl<M: Model> Server<M> {
             .map_err(|e| CoreError::Protocol(format!("update failed: {e}")))?;
         project_l2_ball(&mut self.params, self.config.radius);
 
-        Ok(CheckinOutcome {
+        Ok(AppliedCheckin {
             accepted: true,
             iteration: self.iteration,
             stopped: self.stopped(),
@@ -1007,6 +1015,42 @@ mod tests {
         };
         assert!(s.checkin(&zero_samples).is_err());
         assert_eq!(s.iteration(), 0);
+    }
+
+    #[test]
+    fn nonfinite_checkins_are_refused_without_touching_state() {
+        use crowd_linalg::{GradientUpdate, QuantizedVector, SparseVector};
+        let model = MulticlassLogistic::new(2, 3).unwrap();
+        let config = ServerConfig::new()
+            .with_rate_constant(1.0)
+            .with_budget(0.5, f64::INFINITY);
+        let mut s = Server::new(model, config).unwrap();
+        s.checkin(&payload(0, vec![0.25; 6], 0)).unwrap();
+        let params = s.params().clone();
+        let ledger = s.budget_ledger();
+        let mut nan = vec![0.25; 6];
+        nan[2] = f64::NAN;
+        let mut inf = vec![0.25; 6];
+        inf[5] = f64::INFINITY;
+        let bad = [
+            GradientUpdate::from(Vector::from_vec(nan)),
+            Vector::from_vec(inf).into(),
+            GradientUpdate::Sparse(SparseVector::new(6, vec![1], vec![f64::NEG_INFINITY]).unwrap()),
+            GradientUpdate::Quantized(QuantizedVector::from_parts(f64::MAX, vec![2; 6]).unwrap()),
+        ];
+        for gradient in bad {
+            let mut p = payload(1, vec![0.0; 6], 1);
+            p.gradient = gradient;
+            assert!(
+                matches!(s.checkin(&p), Err(CoreError::Protocol(_))),
+                "{:?}",
+                p.gradient
+            );
+        }
+        assert_eq!(s.iteration(), 1);
+        assert_eq!(s.params(), &params);
+        assert_eq!(s.budget_ledger(), ledger);
+        assert_eq!(s.total_samples(), 2);
     }
 
     #[test]

@@ -16,9 +16,10 @@ use crowd_proto::{AuthToken, BufPool, PROTOCOL_VERSION};
 use crowd_rounds::Role;
 use crowd_sim::chaos::{FaultAction, TransportFaults};
 use rand::Rng;
+use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Bounded retry-with-backoff policy for "server busy" backpressure replies.
@@ -212,7 +213,34 @@ pub struct DeviceReport {
     pub budget_exhausted: bool,
 }
 
+/// Most idle connections one client and its clones keep open. A connection
+/// returned while the shelf is full is closed instead.
+const MAX_IDLE_CONNS: usize = 8;
+
 /// A TCP client for one device.
+///
+/// # Connection lifecycle
+///
+/// The client keeps its TCP connections open and reuses them. Clones of a
+/// client, and the [`RoundSession`]s that [`DeviceClient::join_round`] hands
+/// out, share one small pool of idle connections. An exchange takes an idle
+/// connection, or connects if none is free, and puts it back only after a
+/// complete reply has been read. A connection that hit any error or returned
+/// a partial reply is closed, never pooled.
+///
+/// A server may close an idle connection at any time. When a reused
+/// connection fails before any reply byte arrives (the write fails, or the
+/// first read hits EOF or a reset), an idempotent request is sent once more
+/// on a fresh connection: a checkout, a metrics scrape, or a checkin or batch
+/// whose nonces are all non-zero. That resend does not count against the
+/// [`RetryPolicy`], so even a [`DeviceClientBuilder::no_retry`] client
+/// survives a server that dropped its idle sockets. A request without a
+/// dedup nonce gets the transport error instead, because it may have been
+/// applied.
+///
+/// With a transport-fault shim installed, every exchange the shim faults
+/// runs on a fresh connection that is closed afterwards; only fault-free
+/// exchanges use the pool. [`DeviceClient::with_addr`] starts an empty pool.
 #[derive(Debug, Clone)]
 pub struct DeviceClient {
     addr: SocketAddr,
@@ -221,6 +249,10 @@ pub struct DeviceClient {
     retry: RetryPolicy,
     /// Reused frame buffers (shared across clones, e.g. a gateway's workers).
     pool: Arc<BufPool>,
+    /// Idle connections to `addr`, shared across clones and round sessions.
+    /// A leaf lock: held only to pop or push a socket, never across I/O.
+    // audit:lock(net.client-conns, 95)
+    conns: Arc<Mutex<Vec<TcpStream>>>,
     /// Optional seeded transport-fault shim (chaos testing): decides per wire
     /// exchange whether the frame is dropped, delayed, duplicated, or
     /// truncated. `None` = a faithful transport.
@@ -238,6 +270,27 @@ fn chaos_io_error(detail: &str) -> NetError {
         std::io::ErrorKind::ConnectionReset,
         format!("chaos: {detail}"),
     ))
+}
+
+/// A failed [`DeviceClient`] round trip, and whether it failed before any
+/// reply byte arrived (the only case a stale pooled socket may be retried).
+struct Failed {
+    error: NetError,
+    before_reply: bool,
+}
+
+/// Reads a reply from the socket, counting the bytes that arrived.
+struct ReplyReader<'a> {
+    stream: &'a mut TcpStream,
+    got: usize,
+}
+
+impl Read for ReplyReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.stream.read(buf)?;
+        self.got += n;
+        Ok(n)
+    }
 }
 
 /// `true` for failures worth retrying on an idempotent request: the socket
@@ -293,6 +346,7 @@ impl DeviceClientBuilder {
             token: self.token,
             retry: self.retry,
             pool: Arc::new(BufPool::default()),
+            conns: Arc::default(),
             faults: self.faults,
             ops: Arc::new(AtomicU64::new(0)),
         }
@@ -313,9 +367,11 @@ impl DeviceClient {
     }
 
     /// Re-targets the client at a new address (a restarted server on a fresh
-    /// ephemeral port), keeping the fault-shim schedule and buffer pool.
+    /// ephemeral port), keeping the fault-shim schedule and buffer pool. The
+    /// re-targeted client starts with no idle connections.
     pub fn with_addr(mut self, addr: SocketAddr) -> Self {
         self.addr = addr;
+        self.conns = Arc::default();
         self
     }
 
@@ -324,16 +380,84 @@ impl DeviceClient {
         self.device_id
     }
 
-    fn exchange_once(&self, request: &Message) -> Result<Message> {
+    fn exchange_once(&self, request: &Message, idempotent: bool) -> Result<Message> {
         let action = match &self.faults {
             Some(faults) => faults.decide(self.device_id, self.ops.fetch_add(1, Ordering::Relaxed)),
             None => FaultAction::None,
         };
-        self.exchange_once_with(request, action)
+        if action == FaultAction::None {
+            self.exchange_pooled(request, idempotent)
+        } else {
+            self.exchange_faulted(request, action)
+        }
     }
 
-    /// One wire exchange under an explicit fault decision.
-    fn exchange_once_with(&self, request: &Message, action: FaultAction) -> Result<Message> {
+    /// One fault-free exchange on an idle connection from the pool, or on a
+    /// new one when none is idle (see the type docs for the resend rule).
+    fn exchange_pooled(&self, request: &Message, idempotent: bool) -> Result<Message> {
+        let idle = self
+            .conns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop();
+        if let Some(mut stream) = idle {
+            match self.round_trip(&mut stream, request) {
+                Ok(reply) => {
+                    self.put_idle(stream);
+                    return Ok(reply);
+                }
+                // The server had closed the idle socket: nothing came back,
+                // so an idempotent request goes once more on a new one.
+                Err(Failed {
+                    before_reply: true, ..
+                }) if idempotent => {}
+                Err(failed) => return Err(failed.error),
+            }
+        }
+        let mut stream = self.connect()?;
+        let reply = self
+            .round_trip(&mut stream, request)
+            .map_err(|failed| failed.error)?;
+        self.put_idle(stream);
+        Ok(reply)
+    }
+
+    /// Writes `request` and reads one whole reply on `stream`.
+    fn round_trip(
+        &self,
+        stream: &mut TcpStream,
+        request: &Message,
+    ) -> std::result::Result<Message, Failed> {
+        if let Err(e) = write_message_pooled(stream, request, &self.pool) {
+            return Err(Failed {
+                error: e.into(),
+                before_reply: true,
+            });
+        }
+        let mut reader = ReplyReader { stream, got: 0 };
+        read_message_pooled(&mut reader, &self.pool, DEFAULT_MAX_FRAME).map_err(|e| Failed {
+            error: e.into(),
+            before_reply: reader.got == 0,
+        })
+    }
+
+    fn connect(&self) -> Result<TcpStream> {
+        let stream = TcpStream::connect(self.addr)?;
+        stream.set_nodelay(true).ok();
+        Ok(stream)
+    }
+
+    /// Shelves a connection whose reply was read in full.
+    fn put_idle(&self, stream: TcpStream) {
+        let mut idle = self.conns.lock().unwrap_or_else(PoisonError::into_inner);
+        if idle.len() < MAX_IDLE_CONNS {
+            idle.push(stream);
+        }
+    }
+
+    /// One wire exchange under a fault decision other than
+    /// [`FaultAction::None`], on a fresh connection that is never pooled.
+    fn exchange_faulted(&self, request: &Message, action: FaultAction) -> Result<Message> {
         if let FaultAction::DelaySend { ms } = action {
             std::thread::sleep(Duration::from_millis(ms));
         }
@@ -341,8 +465,7 @@ impl DeviceClient {
             // The server never sees the request: safe to retry blindly.
             return Err(chaos_io_error("connection dropped before send"));
         }
-        let mut stream = TcpStream::connect(self.addr)?;
-        stream.set_nodelay(true).ok();
+        let mut stream = self.connect()?;
         match action {
             FaultAction::TruncateFrame => {
                 // Transmit a strict prefix of the frame and hang up: the
@@ -377,14 +500,10 @@ impl DeviceClient {
                 drop(stream);
                 Err(chaos_io_error("connection dropped after send"))
             }
-            _ => {
-                write_message_pooled(&mut stream, request, &self.pool)?;
-                Ok(read_message_pooled(
-                    &mut stream,
-                    &self.pool,
-                    DEFAULT_MAX_FRAME,
-                )?)
-            }
+            // `DelaySend`, after its stall: a plain exchange.
+            _ => self
+                .round_trip(&mut stream, request)
+                .map_err(|failed| failed.error),
         }
     }
 
@@ -398,19 +517,20 @@ impl DeviceClient {
     }
 
     /// Like [`DeviceClient::exchange`], but additionally retries transient
-    /// transport failures. Only safe for idempotent requests: checkouts
-    /// (reads) and checkins carrying a dedup nonce (the server replays the
-    /// original ack if the first attempt was actually applied).
+    /// transport failures (and resends once past a stale pooled socket).
+    /// Only safe for idempotent requests: checkouts (reads) and checkins
+    /// carrying a dedup nonce (the server replays the original ack if the
+    /// first attempt was actually applied).
     fn exchange_idempotent(&self, request: &Message) -> Result<Message> {
         self.exchange_policy(request, true)
     }
 
-    fn exchange_policy(&self, request: &Message, retry_transport: bool) -> Result<Message> {
+    fn exchange_policy(&self, request: &Message, idempotent: bool) -> Result<Message> {
         let mut failures = 0u32;
         loop {
-            let reply = match self.exchange_once(request) {
+            let reply = match self.exchange_once(request, idempotent) {
                 Ok(reply) => reply,
-                Err(e) if retry_transport && is_transient_transport(&e) => {
+                Err(e) if idempotent && is_transient_transport(&e) => {
                     // The request may or may not have been applied server-side;
                     // idempotence (checkout = read, checkin = dedup nonce)
                     // makes the blind retry safe.
@@ -931,7 +1051,7 @@ mod tests {
         // The connection dies right after the full frame was sent: the server
         // processes the checkin, the client sees only an I/O error.
         let err = client
-            .exchange_once_with(&request, FaultAction::DropAfterSend)
+            .exchange_faulted(&request, FaultAction::DropAfterSend)
             .unwrap_err();
         assert!(is_transient_transport(&err));
         // Wait for the server to absorb the orphaned frame.
@@ -983,7 +1103,7 @@ mod tests {
                 error_count: 0,
                 label_counts: vec![1, 0],
             });
-            assert!(client.exchange_once_with(&request, action).is_err());
+            assert!(client.exchange_faulted(&request, action).is_err());
             // Retry until the ack arrives (an in-flight original replies Busy
             // for a moment; the exchange layer absorbs that).
             let reply = client.exchange_idempotent(&request).unwrap();
@@ -1002,7 +1122,7 @@ mod tests {
             label_counts: vec![1, 0],
         });
         let reply = client
-            .exchange_once_with(&request, FaultAction::DuplicateFrame)
+            .exchange_faulted(&request, FaultAction::DuplicateFrame)
             .unwrap();
         assert!(matches!(reply, Message::CheckinAck(ack) if ack.accepted));
         // 3 faulted-then-retried + 1 duplicated = exactly 4 applications

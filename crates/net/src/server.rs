@@ -34,7 +34,7 @@ use crowd_proto::message::Message;
 use crowd_store::{RecoveryReport, Store};
 use polling::{Event, Events, Poller};
 use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -122,6 +122,8 @@ impl NetServer {
 struct Handler {
     done: Arc<AtomicBool>,
     thread: Option<JoinHandle<()>>,
+    /// A second handle on the connection, to end its read side at shutdown.
+    wake: Option<TcpStream>,
 }
 
 /// Joins every handler whose connection has closed, keeping the live ones.
@@ -142,22 +144,27 @@ fn reap_finished(handlers: &mut Vec<Handler>) {
 /// Spawns one handler thread for an accepted connection. On spawn failure
 /// (thread exhaustion) the stream is dropped: the device sees a closed
 /// connection and retries, which is non-critical per Remark 1 of the paper.
-fn spawn_handler(stream: TcpStream, shared: &Arc<Shared>, handlers: &mut Vec<Handler>) {
+fn spawn_handler(mut stream: TcpStream, shared: &Arc<Shared>, handlers: &mut Vec<Handler>) {
     let done = Arc::new(AtomicBool::new(false));
     let conn_done = Arc::clone(&done);
     let conn_shared = Arc::clone(shared);
+    let wake = stream.try_clone().ok();
     let spawned = std::thread::Builder::new()
         .name("crowd-conn".into())
         .spawn(move || {
             // Per-connection failures only affect that device (Remark 1 of
             // the paper: failed checkouts/checkins are non-critical).
-            let _ = handle_connection(stream, conn_shared);
+            let _ = handle_connection(&mut stream, conn_shared);
+            // The accept loop's `wake` handle keeps the socket open past
+            // this thread, so the connection is ended explicitly.
+            let _ = stream.shutdown(Shutdown::Both);
             conn_done.store(true, Ordering::SeqCst);
         });
     if let Ok(thread) = spawned {
         handlers.push(Handler {
             done,
             thread: Some(thread),
+            wake,
         });
     }
 }
@@ -222,6 +229,14 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         }
     }
     let _ = shared.poller.delete(&listener);
+    // Clients keep idle connections open, so most handlers sit in a read:
+    // ending the read side lets each see the stop flag now rather than at
+    // its next read timeout.
+    for h in &handlers {
+        if let Some(wake) = &h.wake {
+            let _ = wake.shutdown(Shutdown::Read);
+        }
+    }
     for mut h in handlers {
         if let Some(thread) = h.thread.take() {
             let _ = thread.join();
@@ -229,11 +244,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) -> Result<()> {
+fn handle_connection(stream: &mut TcpStream, shared: Arc<Shared>) -> Result<()> {
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(READ_TIMEOUT)).ok();
     loop {
-        let message = match read_message_tolerant(&mut stream, &shared)? {
+        let message = match read_message_tolerant(stream, &shared)? {
             ConnRead::Message(m) => m,
             // No frame in flight: keep serving unless the server is stopping.
             ConnRead::Idle => {
@@ -246,7 +261,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) -> Result<()> {
             ConnRead::Closed => return Ok(()),
         };
         let reply = shared.core.handle_message(message);
-        write_message_pooled(&mut stream, &reply, &shared.core.pool)?;
+        write_message_pooled(stream, &reply, &shared.core.pool)?;
         if shared.stop.load(Ordering::SeqCst) {
             return Ok(());
         }

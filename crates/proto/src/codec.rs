@@ -23,6 +23,19 @@ pub const MAX_VEC_LEN: usize = 16 * 1024 * 1024;
 /// gradient, so the cap keeps a single frame's decode cost bounded.
 pub const MAX_BATCH_ITEMS: usize = 4096;
 
+/// Fewest bytes one encoded batch item can take: the fixed checkin header
+/// (device id, token, checkout iteration, nonce, round id, sample and error
+/// counts), an empty dense gradient (encoding tag + count) and an empty
+/// label-count vector.
+const MIN_CHECKIN_BYTES: usize = 8 + TOKEN_LEN + 8 + 8 + 8 + 4 + 8 + (1 + 4) + 4;
+/// Bytes of one encoded batch ack (accepted, iteration, stopped, deduped,
+/// reject code).
+const BATCH_ACK_BYTES: usize = 1 + 8 + 1 + 1 + 1;
+/// Fewest bytes of one encoded counter or gauge: an empty name and the value.
+const MIN_NAMED_VALUE_BYTES: usize = 4 + 8;
+/// Fewest bytes of one encoded histogram: an empty name and seven `u64`s.
+const MIN_HISTOGRAM_BYTES: usize = 4 + 7 * 8;
+
 /// Wire tag for a dense gradient encoding inside a checkin.
 const GRADIENT_DENSE: u8 = 0;
 /// Wire tag for a sparse (indices + values) gradient encoding.
@@ -218,7 +231,7 @@ pub fn decode(mut buf: &[u8]) -> Result<Message> {
         }
         6 => {
             let count = get_batch_len(&mut buf, "batch items")?;
-            let mut items = Vec::with_capacity(count);
+            let mut items = Vec::with_capacity(capacity_for(count, buf, MIN_CHECKIN_BYTES));
             for _ in 0..count {
                 items.push(get_checkin(&mut buf)?);
             }
@@ -226,7 +239,7 @@ pub fn decode(mut buf: &[u8]) -> Result<Message> {
         }
         7 => {
             let count = get_batch_len(&mut buf, "batch acks")?;
-            let mut acks = Vec::with_capacity(count);
+            let mut acks = Vec::with_capacity(capacity_for(count, buf, BATCH_ACK_BYTES));
             for _ in 0..count {
                 let accepted = get_bool(&mut buf, "accepted")?;
                 let iteration = get_u64(&mut buf, "iteration")?;
@@ -269,21 +282,21 @@ pub fn decode(mut buf: &[u8]) -> Result<Message> {
         }
         10 => {
             let count = get_batch_len(&mut buf, "metric counters")?;
-            let mut counters = Vec::with_capacity(count);
+            let mut counters = Vec::with_capacity(capacity_for(count, buf, MIN_NAMED_VALUE_BYTES));
             for _ in 0..count {
                 let name = get_string(&mut buf, "counter name")?;
                 let value = get_u64(&mut buf, "counter value")?;
                 counters.push((name, value));
             }
             let count = get_batch_len(&mut buf, "metric gauges")?;
-            let mut gauges = Vec::with_capacity(count);
+            let mut gauges = Vec::with_capacity(capacity_for(count, buf, MIN_NAMED_VALUE_BYTES));
             for _ in 0..count {
                 let name = get_string(&mut buf, "gauge name")?;
                 let value = get_i64(&mut buf, "gauge value")?;
                 gauges.push((name, value));
             }
             let count = get_batch_len(&mut buf, "metric histograms")?;
-            let mut histograms = Vec::with_capacity(count);
+            let mut histograms = Vec::with_capacity(capacity_for(count, buf, MIN_HISTOGRAM_BYTES));
             for _ in 0..count {
                 let name = get_string(&mut buf, "histogram name")?;
                 ensure(buf, 7 * 8, "histogram stats")?;
@@ -450,6 +463,13 @@ fn get_batch_len(buf: &mut &[u8], context: &'static str) -> Result<usize> {
         });
     }
     Ok(len)
+}
+
+/// Capacity to reserve for `count` declared elements of at least
+/// `min_bytes` each: no more than the rest of the frame can hold, so a short
+/// frame with a large declared count cannot force a large allocation.
+fn capacity_for(count: usize, buf: &[u8], min_bytes: usize) -> usize {
+    count.min(buf.len() / min_bytes)
 }
 
 fn put_bool<B: BufMut>(buf: &mut B, value: bool) {
@@ -801,6 +821,69 @@ mod tests {
         assert_eq!(decode(&encode(&req)).unwrap(), req);
         let ack = Message::BatchCheckinAck(BatchCheckinAck { acks: vec![] });
         assert_eq!(decode(&encode(&ack)).unwrap(), ack);
+    }
+
+    /// The per-element minimums behind the capacity caps are exact: the
+    /// smallest encodable element takes exactly that many bytes.
+    #[test]
+    fn capacity_minimums_match_the_smallest_encodings() {
+        let item = CheckinRequest {
+            device_id: 0,
+            token: AuthToken::derive(0, 0),
+            checkout_iteration: 0,
+            nonce: 0,
+            round_id: 0,
+            gradient: GradientPayload::Dense(vec![]),
+            num_samples: 0,
+            error_count: 0,
+            label_counts: vec![],
+        };
+        let batch = Message::BatchCheckinRequest(BatchCheckinRequest { items: vec![item] });
+        assert_eq!(encode(&batch).len(), 1 + 4 + MIN_CHECKIN_BYTES);
+        let ack = BatchAck {
+            accepted: true,
+            iteration: 0,
+            stopped: false,
+            deduped: false,
+            reject: None,
+        };
+        let acks = Message::BatchCheckinAck(BatchCheckinAck { acks: vec![ack] });
+        assert_eq!(encode(&acks).len(), 1 + 4 + BATCH_ACK_BYTES);
+        let report = |counters, histograms| {
+            encode(&Message::MetricsReport(MetricsReport {
+                counters,
+                gauges: vec![],
+                histograms,
+            }))
+            .len()
+        };
+        let empty = report(vec![], vec![]);
+        assert_eq!(
+            report(vec![(String::new(), 1)], vec![]),
+            empty + MIN_NAMED_VALUE_BYTES
+        );
+        let histogram = HistogramReport {
+            name: String::new(),
+            count: 0,
+            sum: 0,
+            max: 0,
+            p50: 0,
+            p90: 0,
+            p99: 0,
+            p999: 0,
+        };
+        assert_eq!(report(vec![], vec![histogram]), empty + MIN_HISTOGRAM_BYTES);
+    }
+
+    #[test]
+    fn declared_counts_reserve_no_more_than_the_frame_holds() {
+        // 4096 declared items in a 5-byte frame: no room for even one.
+        let buf = [6u8, 0x00, 0x10, 0x00, 0x00];
+        assert_eq!(capacity_for(4096, &buf[5..], MIN_CHECKIN_BYTES), 0);
+        assert!(matches!(decode(&buf), Err(ProtoError::Truncated { .. })));
+        let room = vec![0u8; 3 * MIN_CHECKIN_BYTES + 1];
+        assert_eq!(capacity_for(4096, &room, MIN_CHECKIN_BYTES), 3);
+        assert_eq!(capacity_for(2, &room, MIN_CHECKIN_BYTES), 2);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! is an encoded [`crate::Message`]. The reader enforces a maximum frame size so a
 //! corrupt or hostile peer cannot force an unbounded allocation.
 
-use crate::codec::{decode, encode, encode_into};
+use crate::codec::{decode, encode_into};
 use crate::error::ProtoError;
 use crate::message::Message;
 use crate::pool::BufPool;
@@ -17,10 +17,9 @@ pub const DEFAULT_MAX_FRAME: usize = 16 * 1024 * 1024;
 
 /// Writes one framed message to `writer`.
 pub fn write_message<W: Write>(writer: &mut W, message: &Message) -> Result<()> {
-    let payload = encode(message);
-    let len = payload.len() as u32;
-    writer.write_all(&len.to_le_bytes())?;
-    writer.write_all(&payload)?;
+    let mut frame = Vec::with_capacity(64);
+    encode_frame(message, &mut frame);
+    writer.write_all(&frame)?;
     writer.flush()?;
     Ok(())
 }
@@ -32,13 +31,22 @@ pub fn write_message_pooled<W: Write>(
     message: &Message,
     pool: &BufPool,
 ) -> Result<()> {
-    let mut payload = pool.take_empty();
-    encode_into(message, &mut *payload);
-    let len = payload.len() as u32;
-    writer.write_all(&len.to_le_bytes())?;
-    writer.write_all(&payload)?;
+    let mut frame = pool.take_empty();
+    encode_frame(message, &mut frame);
+    writer.write_all(&frame)?;
     writer.flush()?;
     Ok(())
+}
+
+/// Encodes `message` as one whole frame into the empty `frame`: the length
+/// prefix is reserved at the head and patched in after the payload, so the
+/// frame goes out in a single `write_all` (one segment under `TCP_NODELAY`
+/// for small frames) instead of a prefix write followed by a payload write.
+fn encode_frame(message: &Message, frame: &mut Vec<u8>) {
+    frame.extend_from_slice(&[0; 4]);
+    encode_into(message, frame);
+    let len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Reads one framed message, filling a pooled buffer instead of allocating a
@@ -87,6 +95,7 @@ pub fn read_message<R: Read>(reader: &mut R) -> Result<Message> {
 mod tests {
     use super::*;
     use crate::auth::AuthToken;
+    use crate::codec::encode;
     use crate::message::{CheckinAck, CheckoutRequest, CheckoutResponse};
     use std::io::Cursor;
 
@@ -122,6 +131,53 @@ mod tests {
         }
         // Stream exhausted: the next read reports an I/O error.
         assert!(matches!(read_message(&mut cursor), Err(ProtoError::Io(_))));
+    }
+
+    /// Counts `write` calls, accepting every byte offered.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write_with_unchanged_bytes() {
+        let msg = Message::CheckoutResponse(CheckoutResponse {
+            iteration: 4,
+            params: vec![0.5; 40],
+            stopped: false,
+            round: None,
+        });
+        let payload = encode(&msg);
+        let mut expected = (payload.len() as u32).to_le_bytes().to_vec();
+        expected.extend_from_slice(&payload);
+        let pool = BufPool::default();
+        for pooled in [false, true] {
+            let mut w = CountingWriter::default();
+            if pooled {
+                write_message_pooled(&mut w, &msg, &pool).unwrap();
+            } else {
+                write_message(&mut w, &msg).unwrap();
+            }
+            assert_eq!(w.writes, 1, "pooled = {pooled}");
+            assert_eq!(w.bytes, expected, "pooled = {pooled}");
+        }
+        // A reused pooled buffer starts empty: the second frame is not
+        // prefixed by the first.
+        let mut w = CountingWriter::default();
+        write_message_pooled(&mut w, &msg, &pool).unwrap();
+        assert_eq!(w.bytes, expected);
     }
 
     #[test]

@@ -394,3 +394,170 @@ proptest! {
         prop_assert_eq!(bits_a, bits_b);
     }
 }
+
+/// Well-formed frames of every message shape the decoders handle, for the
+/// mutation fuzz below to corrupt.
+fn fuzz_seed_messages() -> Vec<Message> {
+    use crowd_ml::proto::message::{CheckinAck, HistogramReport, MetricsReport};
+    let checkin = |gradient| CheckinRequest {
+        device_id: 3,
+        token: AuthToken::derive(3, 9),
+        checkout_iteration: 2,
+        nonce: 7,
+        round_id: 1,
+        gradient,
+        num_samples: 4,
+        error_count: 1,
+        label_counts: vec![1, 3],
+    };
+    vec![
+        Message::CheckinRequest(checkin(GradientPayload::Dense(vec![0.5, -1.0, 2.0]))),
+        Message::CheckinRequest(checkin(GradientPayload::Sparse {
+            dim: 9,
+            indices: vec![1, 4],
+            values: vec![0.25, -0.5],
+        })),
+        Message::CheckinRequest(checkin(GradientPayload::Quantized {
+            scale: 0.125,
+            levels: vec![3, -2, 0],
+        })),
+        Message::BatchCheckinRequest(BatchCheckinRequest {
+            items: vec![checkin(GradientPayload::Dense(vec![1.0])); 2],
+        }),
+        Message::CheckoutResponse(CheckoutResponse {
+            iteration: 5,
+            params: vec![0.0, 1.5],
+            stopped: false,
+            round: Some(RoundParams {
+                round_id: 2,
+                seed: 11,
+                select_fraction: 0.5,
+                deadline_epochs: 4,
+                population: 8,
+            }),
+        }),
+        Message::CheckinAck(CheckinAck {
+            accepted: true,
+            iteration: 6,
+            stopped: false,
+            deduped: false,
+        }),
+        Message::BatchCheckinAck(BatchCheckinAck {
+            acks: vec![
+                BatchAck {
+                    accepted: false,
+                    iteration: 6,
+                    stopped: false,
+                    deduped: false,
+                    reject: Some(ErrorCode::Busy),
+                };
+                3
+            ],
+        }),
+        Message::MetricsReport(MetricsReport {
+            counters: vec![("conns_accepted".into(), 4)],
+            gauges: vec![("inflight".into(), -1)],
+            histograms: vec![HistogramReport {
+                name: "checkin_latency_us".into(),
+                count: 1,
+                sum: 2,
+                max: 3,
+                p50: 4,
+                p90: 5,
+                p99: 6,
+                p999: 7,
+            }],
+        }),
+    ]
+}
+
+/// Feeds `stream` to every frame decoder: the blocking reader (plain and
+/// pooled) and the reactor's resumable reader, the latter fragmented into
+/// `step`-byte reads. Each may fail, none may panic, and a frame one accepts
+/// the others accept identically.
+fn decode_frame_everywhere(stream: &[u8], max_frame: usize, step: usize) {
+    use crowd_ml::proto::frame::{read_message_pooled, read_message_with_limit};
+    use crowd_ml::proto::BufPool;
+    use crowd_ml::reactor::{FrameReader, ReadEvent};
+    use std::io::{Cursor, Read};
+    use std::sync::Arc;
+
+    /// Hands out at most `step` bytes per read, so the resumable reader
+    /// stops and picks up again inside the prefix and the payload.
+    struct Trickle<'a> {
+        rest: &'a [u8],
+        step: usize,
+    }
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.step).min(self.rest.len());
+            buf[..n].copy_from_slice(&self.rest[..n]);
+            self.rest = &self.rest[n..];
+            Ok(n)
+        }
+    }
+
+    let plain = read_message_with_limit(&mut Cursor::new(stream), max_frame).ok();
+    let pool = Arc::new(BufPool::default());
+    let pooled = read_message_pooled(&mut Cursor::new(stream), &pool, max_frame).ok();
+    assert_eq!(plain, pooled);
+    let mut reader = FrameReader::new(Arc::clone(&pool), max_frame);
+    let mut trickle = Trickle { rest: stream, step };
+    // Each successful poll consumes at least one byte, so this terminates.
+    let resumable = loop {
+        match reader.poll_read(&mut trickle) {
+            Ok(ReadEvent::Frame(m)) => break Some(m),
+            Ok(ReadEvent::NeedMore) => continue,
+            Ok(ReadEvent::Closed) | Err(_) => break None,
+        }
+    };
+    assert_eq!(plain, resumable);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary bytes never panic the message decoder: a message tag from
+    /// the known range (plus a few unknown ones) followed by random bytes.
+    #[test]
+    fn decoder_survives_arbitrary_bytes(
+        tag in 0u8..14,
+        body in prop::collection::vec(0u8..=255, 0..160),
+    ) {
+        let mut bytes = vec![tag];
+        bytes.extend_from_slice(&body);
+        let _ = decode(&bytes);
+    }
+
+    /// Corrupted and truncated encodings of real messages never panic the
+    /// message decoder or any frame reader, whatever length prefix the
+    /// frame declares.
+    #[test]
+    fn frame_readers_survive_corrupt_frames(
+        which in 0usize..8,
+        flips in prop::collection::vec((any::<u32>(), 0u8..=255), 0..4),
+        cut in any::<u32>(),
+        declared in any::<u32>(),
+        lie in 0u8..3,
+        step in 1usize..9,
+    ) {
+        let messages = fuzz_seed_messages();
+        let mut payload = encode(&messages[which % messages.len()]).to_vec();
+        for &(pos, byte) in &flips {
+            let i = pos as usize % payload.len();
+            payload[i] = byte;
+        }
+        payload.truncate(cut as usize % (payload.len() + 1));
+        let _ = decode(&payload);
+        // The prefix tells the truth, is off by a little, or is arbitrary.
+        let len = match lie {
+            0 => payload.len() as u32,
+            1 => (payload.len() as u32).wrapping_add(declared % 9).wrapping_sub(4),
+            _ => declared,
+        };
+        let mut stream = len.to_le_bytes().to_vec();
+        stream.extend_from_slice(&payload);
+        decode_frame_everywhere(&stream, 1024, step);
+        decode_frame_everywhere(&stream, 1 << 20, step);
+    }
+}

@@ -279,3 +279,189 @@ fn sparse_and_quantized_round_submissions_are_applied() {
         assert_eq!(mixed, run(false));
     });
 }
+
+/// A `DeviceClient` keeps its connection open across exchanges: 50 rounds
+/// of `join_round` + `submit` and a metrics scrape arrive on exactly one
+/// accepted connection.
+#[test]
+fn device_client_reuses_one_connection_across_rounds() {
+    under_watchdog(Duration::from_secs(60), || {
+        use crowd_ml::core::config::{RoundSettings, ServerConfig};
+        use crowd_ml::core::device::CheckinPayload;
+        use crowd_ml::linalg::Vector;
+
+        let model = MulticlassLogistic::new(2, 3).unwrap();
+        let config = ServerConfig::new().with_rounds(
+            RoundSettings::new(1)
+                .with_select_fraction(1.0)
+                .with_deadline_epochs(100),
+        );
+        let tokens = TokenRegistry::with_derived_tokens(1, 5);
+        let handle = ReactorServer::start(model, config, tokens).unwrap();
+        let before = handle.reactor_stats().unwrap().accepted;
+        let client = DeviceClient::builder(handle.addr(), 0, AuthToken::derive(0, 5)).build();
+        for round in 1..=50u64 {
+            let session = client.join_round().unwrap();
+            assert_eq!(session.round_id(), round);
+            let payload = CheckinPayload {
+                device_id: 0,
+                checkout_iteration: session.checked_out().iteration,
+                nonce: round,
+                gradient: Vector::from_vec(vec![0.01; 6]).into(),
+                num_samples: 2,
+                error_count: 0,
+                label_counts: vec![1, 1, 0],
+            };
+            assert!(session.submit(&payload).unwrap().applied());
+        }
+        let report = client.scrape_metrics().unwrap();
+        let accepted = report
+            .counters
+            .iter()
+            .find(|(n, _)| n == "conns_accepted")
+            .map(|&(_, v)| v)
+            .expect("conns_accepted counter");
+        assert_eq!(accepted - before, 1);
+        assert_eq!(handle.reactor_stats().unwrap().accepted - before, 1);
+        assert_eq!(handle.iteration(), 50);
+        handle.shutdown();
+    });
+}
+
+/// A pooled connection the server has since closed is resent past only when
+/// the request is idempotent, and a chaos-faulted exchange never poisons the
+/// pool.
+#[test]
+fn stale_pooled_connections_resend_only_idempotent_requests() {
+    under_watchdog(Duration::from_secs(60), || {
+        use crowd_ml::core::device::CheckinPayload;
+        use crowd_ml::linalg::Vector;
+        use crowd_ml::proto::frame::{read_message, write_message};
+        use crowd_ml::proto::message::{CheckinAck, CheckoutResponse, Message};
+        use crowd_ml::sim::chaos::{FaultAction, TransportFaults};
+        use std::net::{TcpListener, TcpStream};
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        use std::sync::Arc;
+
+        // A server that answers one frame per connection and then hangs up,
+        // so every connection the client pools is stale on its next use.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let conns = Arc::new(AtomicU64::new(0));
+        let checkins = Arc::new(AtomicU64::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let server = {
+            let (conns, checkins, stop) = (conns.clone(), checkins.clone(), stop.clone());
+            std::thread::spawn(move || {
+                for conn in listener.incoming() {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok(mut conn) = conn else { continue };
+                    conns.fetch_add(1, Ordering::SeqCst);
+                    let reply = match read_message(&mut conn) {
+                        Ok(Message::CheckoutRequest(_)) => {
+                            Message::CheckoutResponse(CheckoutResponse {
+                                iteration: 0,
+                                params: vec![0.0; 6],
+                                stopped: false,
+                                round: None,
+                            })
+                        }
+                        Ok(Message::CheckinRequest(_)) => {
+                            checkins.fetch_add(1, Ordering::SeqCst);
+                            Message::CheckinAck(CheckinAck {
+                                accepted: true,
+                                iteration: 1,
+                                stopped: false,
+                                deduped: false,
+                            })
+                        }
+                        _ => continue,
+                    };
+                    let _ = write_message(&mut conn, &reply);
+                }
+            })
+        };
+        let client = DeviceClient::builder(addr, 0, AuthToken::derive(0, 5))
+            .no_retry()
+            .build();
+        client.checkout().unwrap();
+        // The pooled connection is closed: the checkout goes once more on a
+        // new connection, outside the (empty) retry budget.
+        client.checkout().unwrap();
+        assert_eq!(conns.load(Ordering::SeqCst), 2);
+        let payload = |nonce| CheckinPayload {
+            device_id: 0,
+            checkout_iteration: 0,
+            nonce,
+            gradient: Vector::from_vec(vec![0.5; 6]).into(),
+            num_samples: 1,
+            error_count: 0,
+            label_counts: vec![1, 0, 0],
+        };
+        // Without a nonce the checkin may not be sent twice: the stale
+        // connection's transport error comes back, and nothing reached the
+        // server.
+        assert!(client.checkin(&payload(0)).is_err());
+        assert!(checkins.load(Ordering::SeqCst) <= 1);
+        assert_eq!(
+            conns.load(Ordering::SeqCst),
+            2,
+            "a nonce-0 checkin was resent"
+        );
+        // The failed connection was dropped, not pooled: the next nonce-0
+        // checkin connects afresh and lands.
+        assert!(client.checkin(&payload(0)).unwrap().applied());
+        assert_eq!(checkins.load(Ordering::SeqCst), 1);
+        // With a nonce the checkin is idempotent and resent past the stale
+        // connection.
+        assert!(client.checkin(&payload(9)).unwrap().applied());
+        assert_eq!(checkins.load(Ordering::SeqCst), 2);
+        stop.store(true, Ordering::SeqCst);
+        drop(TcpStream::connect(addr));
+        server.join().unwrap();
+
+        // Chaos: a faulted exchange runs on its own connection and never
+        // enters the pool. Find a fault schedule for device 0 whose
+        // exchanges go fault-free, truncated, fault-free, dropped after
+        // send, fault-free.
+        let wanted = [
+            FaultAction::None,
+            FaultAction::TruncateFrame,
+            FaultAction::None,
+            FaultAction::DropAfterSend,
+            FaultAction::None,
+        ];
+        let faults = (0..1_000_000u64)
+            .map(|seed| TransportFaults::from_seed(seed, 1))
+            .find(|f| (0..5).all(|op| f.decide(0, op) == wanted[op as usize]))
+            .expect("a seed with the wanted fault schedule");
+        let model = MulticlassLogistic::new(2, 3).unwrap();
+        let tokens = TokenRegistry::with_derived_tokens(1, 5);
+        let handle =
+            ReactorServer::start(model, crowd_ml::core::config::ServerConfig::new(), tokens)
+                .unwrap();
+        let client = DeviceClient::builder(handle.addr(), 0, AuthToken::derive(0, 5))
+            .no_retry()
+            .transport_faults(Arc::new(faults))
+            .build();
+        let accepted_eventually = |want: u64| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while handle.reactor_stats().unwrap().accepted < want
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            handle.reactor_stats().unwrap().accepted
+        };
+        client.checkout().unwrap();
+        assert!(client.checkout().is_err(), "truncated frame");
+        client.checkout().unwrap();
+        assert_eq!(accepted_eventually(2), 2);
+        assert!(client.checkout().is_err(), "dropped after send");
+        client.checkout().unwrap();
+        assert_eq!(accepted_eventually(3), 3);
+        handle.shutdown();
+    });
+}
