@@ -103,7 +103,8 @@ impl EpochAggregate {
 /// The result of applying a checkin (Server Routine 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppliedCheckin {
-    /// Whether the gradient was applied (a stopped server rejects new gradients).
+    /// Whether the gradient was applied (a stopped server rejects new gradients,
+    /// and an epoch whose step would leave a non-finite parameter is not applied).
     pub accepted: bool,
     /// The server iteration after this checkin.
     pub iteration: u64,
@@ -852,8 +853,21 @@ impl<M: Model> Server<M> {
         // per-checkin update bit for bit.
         let mut mean = epoch.gradient_sum.clone();
         mean.scale(1.0 / epoch.checkin_count as f64);
-        self.iteration += 1;
-        let eta = self.schedule.rate(self.iteration as usize, &mean);
+        let t = self.iteration + 1;
+        let eta = self.schedule.rate(t as usize, &mean);
+        // Admission only sees finite gradients one at a time: their sum, or
+        // the step, can still overflow. Such an epoch is not applied (its ε
+        // stays charged above), so no NaN or ±∞ ever reaches the parameters.
+        if !step_is_finite(&self.params, -eta, &mean) {
+            return Ok(AppliedCheckin {
+                accepted: false,
+                iteration: self.iteration,
+                stopped: self.stopped(),
+                staleness,
+                deduped: false,
+            });
+        }
+        self.iteration = t;
         self.params
             .axpy(-eta, &mean)
             .map_err(|e| CoreError::Protocol(format!("update failed: {e}")))?;
@@ -867,6 +881,14 @@ impl<M: Model> Server<M> {
             deduped: false,
         })
     }
+}
+
+/// `true` when `w + alpha·m` (the arithmetic of `Vector::axpy`) is finite in
+/// every coordinate.
+fn step_is_finite(w: &Vector, alpha: f64, m: &Vector) -> bool {
+    w.iter()
+        .zip(m.iter())
+        .all(|(w, m)| (w + alpha * m).is_finite())
 }
 
 #[cfg(test)]
@@ -1051,6 +1073,35 @@ mod tests {
         assert_eq!(s.params(), &params);
         assert_eq!(s.budget_ledger(), ledger);
         assert_eq!(s.total_samples(), 2);
+    }
+
+    #[test]
+    fn overflowing_epochs_are_not_applied() {
+        let model = MulticlassLogistic::new(2, 3).unwrap();
+        let config = ServerConfig::new()
+            .with_rate_constant(4.0)
+            .with_budget(0.5, f64::INFINITY);
+        let mut s = Server::new(model, config).unwrap();
+        s.checkin(&payload(0, vec![0.25; 6], 0)).unwrap();
+        let params = s.params().clone();
+        // What two f64::MAX gradients fold to.
+        let mut overflowed = EpochAggregate::from_payload(&payload(1, vec![0.0; 6], 1));
+        overflowed.gradient_sum = Vector::from_vec(vec![f64::INFINITY; 6]);
+        overflowed.checkin_count = 2;
+        assert!(!s.apply_aggregate(&overflowed).unwrap().accepted);
+        // A finite gradient whose step η(2)·g overflows.
+        assert!(
+            !s.checkin(&payload(1, vec![f64::MAX; 6], 1))
+                .unwrap()
+                .accepted
+        );
+        // The spent ε stays charged; the parameters and iteration do not move.
+        assert_eq!(s.iteration(), 1);
+        assert_eq!(s.params(), &params);
+        assert_eq!(s.budget_ledger(), vec![(0, 0.5), (1, 1.0)]);
+        assert!(s.checkin(&payload(1, vec![0.25; 6], 1)).unwrap().accepted);
+        assert_eq!(s.iteration(), 2);
+        assert!(s.params().iter().all(|v| v.is_finite()));
     }
 
     #[test]

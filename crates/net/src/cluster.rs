@@ -5,7 +5,7 @@
 //! It backs the `federated_network` example and the cross-crate integration tests.
 
 use crate::client::{DeviceClient, DeviceReport};
-use crate::server::NetServer;
+use crate::reactor_server::ReactorServer;
 use crate::Result;
 use crossbeam::channel;
 use crowd_core::config::{DeviceConfig, PrivacyConfig, ServerConfig};
@@ -100,7 +100,7 @@ impl LocalCluster {
             server_config.budget.per_checkin_epsilon =
                 self.privacy.budget.total_per_checkin(num_classes);
         }
-        let handle = NetServer::start(model, server_config, tokens)?;
+        let handle = ReactorServer::start(model, server_config, tokens)?;
         let addr = handle.addr();
 
         let (tx, rx) = channel::unbounded::<(usize, Result<DeviceReport>)>();
@@ -204,9 +204,9 @@ mod tests {
 
     #[test]
     fn cluster_survives_backpressure_without_losing_checkins() {
-        // A 2-deep ingest queue under 6 concurrent devices forces Busy
-        // rejections; the client-side retry must make them invisible: every
-        // sample still arrives and every minibatch is still applied.
+        // A 2-deep ingest queue under 6 concurrent devices forces the
+        // reactor to park connections; the throttling must stay invisible:
+        // every sample still arrives and every minibatch is still applied.
         let mut rng = StdRng::seed_from_u64(3);
         let (train, _) = GaussianMixtureSpec::new(4, 2)
             .with_train_size(240)

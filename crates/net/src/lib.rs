@@ -2,18 +2,19 @@
 //!
 //! The paper's prototype runs Algorithm 2 behind an Apache/MySQL web stack and the
 //! devices talk to it over HTTPS. This crate provides the equivalent deployment
-//! for the Rust implementation: a threaded TCP [`server::NetServer`] that hosts
-//! Server Routines 1–2 behind the `crowd-proto` wire protocol, a
-//! [`client::DeviceClient`] that runs Device Routines 1–3 against it, and a
-//! [`cluster::LocalCluster`] helper that spins up a server plus a fleet of device
-//! threads on localhost for examples and integration tests.
+//! for the Rust implementation: one event-driven
+//! [`reactor_server::ReactorServer`] that hosts Server Routines 1–2 behind the
+//! `crowd-proto` wire protocol, a [`client::DeviceClient`] that runs Device
+//! Routines 1–3 against it, and a [`cluster::LocalCluster`] helper that spins up
+//! a server plus a fleet of device threads on localhost for examples and
+//! integration tests.
 //!
-//! For scale, the same protocol is also served by an event-driven
-//! [`reactor_server::ReactorServer`] built on the `crowd-reactor` core: a
-//! fixed pool of reactor threads multiplexes thousands of connections, and a
-//! full ingest queue throttles socket reads instead of replying `Busy`. The
+//! The server is built on the `crowd-reactor` core: a fixed pool of reactor
+//! threads multiplexes thousands of connections, and a full ingest queue
+//! throttles socket reads instead of replying `Busy`. The
 //! [`driver::FleetDriver`] is its client-side counterpart — one thread driving
-//! an entire simulated device fleet through nonblocking exchanges.
+//! an entire simulated device fleet through nonblocking exchanges — and
+//! [`chaos::ChaosCluster`] runs a seeded fault plan against it.
 //!
 //! Transport security (the prototype's TLS) is out of scope — the privacy
 //! guarantees of Crowd-ML come from the *local* sanitization on the device, which
@@ -28,17 +29,15 @@ pub mod cluster;
 pub mod driver;
 pub mod error;
 pub mod reactor_server;
-pub mod server;
 mod service;
 
-pub use chaos::{AnyServerHandle, ChaosCluster, ChaosReport, ServerKind};
+pub use chaos::{ChaosCluster, ChaosReport};
 pub use client::{CheckinOutcome, DeviceClient, DeviceClientBuilder, RetryPolicy, RoundSession};
 pub use cluster::{ClusterReport, LocalCluster};
 pub use crowd_rounds::Role;
 pub use driver::{FleetConfig, FleetDriver, FleetReport};
 pub use error::NetError;
 pub use reactor_server::{ReactorServer, ReactorServerHandle};
-pub use server::{NetServer, NetServerHandle};
 
 /// Result alias for networking operations.
 pub type Result<T> = std::result::Result<T, NetError>;

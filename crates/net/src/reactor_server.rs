@@ -1,34 +1,33 @@
-//! Event-driven Crowd-ML TCP server on the `crowd-reactor` core.
+//! Event-driven Crowd-ML TCP server on the `crowd-reactor` core: Server
+//! Routines 1–2 behind the `crowd-proto` wire protocol.
 //!
-//! Serves the same protocol as [`crate::NetServer`] — same
-//! [`crate::service::ServerCore`], same replies byte for byte — but instead of
-//! one thread per connection, a small fixed pool of reactor threads
-//! multiplexes every connection through nonblocking sockets and resumable
-//! frame state machines. The differences that matter at 10k devices:
+//! A small fixed pool of reactor threads multiplexes every connection through
+//! nonblocking sockets and resumable frame state machines; request handling
+//! lives in [`crate::service::ServerCore`]. What matters at 10k devices:
 //!
 //! * **Thread count is O(reactor threads), not O(connections).** An idle or
 //!   slow device costs a slab slot and a parked socket, not a stack.
 //! * **Backpressure is read throttling, not Busy spam.** When the ingest
 //!   queue is full, the connection is parked with read interest disarmed; TCP
 //!   flow control pushes back to the device, and the parked gradient is
-//!   re-admitted as soon as the queue drains. The threaded server instead
-//!   replies `Busy` and makes the device retry the full upload.
+//!   re-admitted as soon as the queue drains, so a lone checkin is never
+//!   answered `Busy`.
 //! * **Blocking waits live on pump threads.** Checkin acks wait for their
 //!   epoch on the per-reactor completion pump, never on an event loop.
 //!
-//! [`ReactorServerHandle`] mirrors [`crate::NetServerHandle`] method for
-//! method, so harnesses (chaos, cluster, benches) can drive either server
-//! through one surface — see `crate::chaos::AnyServerHandle`.
+//! Devices are authenticated against a [`TokenRegistry`] before any
+//! parameters are served or gradients accepted.
 
-use crate::server::build_runtime;
 use crate::service::{handle_event, ServerCore};
 use crate::Result;
+use crowd_agg::{AggError, AggRuntime};
 use crowd_core::config::ServerConfig;
+use crowd_core::server::Server;
 use crowd_learning::MulticlassLogistic;
 use crowd_linalg::Vector;
 use crowd_proto::auth::TokenRegistry;
 use crowd_reactor::{Reactor, ReactorConfig, ReactorStats};
-use crowd_store::RecoveryReport;
+use crowd_store::{RecoveryReport, Store};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 
@@ -39,25 +38,35 @@ const DRAIN_POLLS: usize = 10_000;
 /// The event-driven Crowd-ML TCP server.
 pub struct ReactorServer;
 
+/// Builds the aggregation runtime, through the store's recovery path when
+/// `config.persist` names a data directory.
+fn build_runtime(
+    model: MulticlassLogistic,
+    config: ServerConfig,
+) -> Result<(AggRuntime<MulticlassLogistic>, Option<RecoveryReport>)> {
+    if config.persist.is_enabled() {
+        let (store, server, report) = Store::open(model, config).map_err(AggError::from)?;
+        Ok((AggRuntime::with_store(server, Some(store))?, Some(report)))
+    } else {
+        Ok((AggRuntime::new(Server::new(model, config)?)?, None))
+    }
+}
+
 impl ReactorServer {
-    /// Starts a reactor server on `127.0.0.1` (ephemeral port) with the
-    /// default reactor tuning. Model, aggregation, persistence, and token
-    /// semantics are identical to [`crate::NetServer::start`].
+    /// Starts a server on `127.0.0.1` (ephemeral port) for the given model,
+    /// configuration, and device-token registry, with the default reactor
+    /// tuning. The aggregation runtime is configured by `config.agg` (shard
+    /// count, queue bound, epoch size, …).
+    ///
+    /// When `config.persist` names a data directory, the server binds through
+    /// the recovery path: the latest snapshot is loaded, the WAL tail replayed
+    /// (bitwise-identical state, including the per-device ε ledger), and every
+    /// subsequently applied epoch is WAL-logged before its checkins are acked.
+    /// [`ReactorServerHandle::recovery_report`] tells the caller what was found.
     pub fn start(
         model: MulticlassLogistic,
         config: ServerConfig,
         tokens: TokenRegistry,
-    ) -> Result<ReactorServerHandle> {
-        Self::start_with(model, config, tokens, ReactorConfig::default())
-    }
-
-    /// Starts a reactor server with explicit reactor tuning (thread count,
-    /// connection cap, frame limit).
-    pub fn start_with(
-        model: MulticlassLogistic,
-        config: ServerConfig,
-        tokens: TokenRegistry,
-        reactor_config: ReactorConfig,
     ) -> Result<ReactorServerHandle> {
         let (runtime, recovery) = build_runtime(model, config)?;
         let core = Arc::new(ServerCore::new(runtime, tokens));
@@ -68,7 +77,7 @@ impl ReactorServer {
             listener,
             Arc::new(move |message| handle_event(&service_core, message)),
             Arc::clone(&core.pool),
-            reactor_config,
+            ReactorConfig::default(),
             Arc::clone(&core.metrics),
         )?;
         Ok(ReactorServerHandle {
@@ -80,7 +89,8 @@ impl ReactorServer {
     }
 }
 
-/// A handle to a running reactor server; mirrors [`crate::NetServerHandle`].
+/// A handle to a running reactor server: address, shared state, and the
+/// reactor threads.
 pub struct ReactorServerHandle {
     addr: SocketAddr,
     core: Arc<ServerCore>,
@@ -119,7 +129,8 @@ impl ReactorServerHandle {
         self.core.runtime.error_estimate()
     }
 
-    /// A snapshot of the aggregation-runtime counters.
+    /// A snapshot of the server's crowd-scope metrics (`epoch_merges`,
+    /// `checkins_applied`, request-latency histograms, …).
     pub fn runtime_stats(&self) -> crowd_telemetry::MetricsSnapshot {
         self.core.runtime.stats()
     }
@@ -165,8 +176,10 @@ impl ReactorServerHandle {
 
     /// Crash-stops the server, simulating a SIGKILL for recovery testing:
     /// in-flight and parked checkins are dropped unacknowledged, no final
-    /// flush or checkpoint snapshot is written. Same WAL-backed recovery
-    /// contract as [`crate::NetServerHandle::kill`].
+    /// flush or checkpoint snapshot is written. Everything already
+    /// acknowledged is in the WAL (appends happen before acks), so a later
+    /// [`ReactorServer::start`] on the same data directory recovers to exactly
+    /// the acknowledged state via snapshot load and WAL replay.
     pub fn kill(mut self) {
         self.core.runtime.kill();
         if let Some(reactor) = self.reactor.take() {
@@ -200,11 +213,12 @@ mod tests {
     use crowd_proto::auth::AuthToken;
     use crowd_proto::frame::{read_message, write_message};
     use crowd_proto::message::{
-        BatchCheckinRequest, CheckinRequest, CheckoutRequest, ErrorCode, ErrorReply,
-        GradientPayload, Message,
+        BatchCheckinRequest, CheckinAck, CheckinRequest, CheckoutRequest, ErrorCode, ErrorReply,
+        GradientPayload, Message, MetricsRequest,
     };
     use crowd_proto::PROTOCOL_VERSION;
     use std::net::TcpStream;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
     fn start_test_server() -> (ReactorServerHandle, AuthToken) {
@@ -218,6 +232,14 @@ mod tests {
         let mut stream = TcpStream::connect(addr).unwrap();
         write_message(&mut stream, msg).unwrap();
         read_message(&mut stream).unwrap()
+    }
+
+    fn checkout(device_id: u64) -> Message {
+        Message::CheckoutRequest(CheckoutRequest {
+            version: PROTOCOL_VERSION,
+            device_id,
+            token: AuthToken::derive(device_id, 99),
+        })
     }
 
     fn checkin_item(device_id: u64, secret: u64, gradient: Vec<f64>) -> CheckinRequest {
@@ -234,20 +256,17 @@ mod tests {
         }
     }
 
+    fn is_refusal(reply: &Message, code: ErrorCode) -> bool {
+        matches!(reply, Message::Error(ErrorReply { code: c, .. }) if *c == code)
+    }
+
     #[test]
     fn checkout_and_checkin_round_trip() {
-        let (handle, token) = start_test_server();
-        let reply = roundtrip(
-            handle.addr(),
-            &Message::CheckoutRequest(CheckoutRequest {
-                version: PROTOCOL_VERSION,
-                device_id: 0,
-                token,
-            }),
-        );
+        let (handle, _token) = start_test_server();
+        let reply = roundtrip(handle.addr(), &checkout(0));
         assert!(matches!(
             reply,
-            Message::CheckoutResponse(r) if r.iteration == 0 && r.params.len() == 12
+            Message::CheckoutResponse(r) if r.iteration == 0 && r.params.len() == 12 && !r.stopped
         ));
         let reply = roundtrip(
             handle.addr(),
@@ -261,40 +280,37 @@ mod tests {
     }
 
     #[test]
-    fn replies_match_threaded_server_for_error_paths() {
-        // The two servers share ServerCore, so the full refusal surface must
-        // be identical: bad token, bad version, unexpected type, batch mix.
+    fn handle_reports_state() {
+        let (handle, _) = start_test_server();
+        assert_eq!(handle.iteration(), 0);
+        assert_eq!(handle.total_samples(), 0);
+        assert_eq!(handle.error_estimate(), None);
+        assert!(!handle.stopped());
+        assert_eq!(handle.params().len(), 12);
+        assert!(handle.recovery_report().is_none());
+        assert!(handle.budget_ledger().is_empty());
+        handle.shutdown();
+    }
+
+    #[test]
+    fn error_paths_reply_with_typed_refusals() {
+        // Bad token, bad version, and a batch whose items are judged one by
+        // one: device 3 carries a bad token, device 2 a malformed gradient.
         let (handle, _token) = start_test_server();
-        let bad_token = roundtrip(
-            handle.addr(),
-            &Message::CheckoutRequest(CheckoutRequest {
-                version: PROTOCOL_VERSION,
+        let checkout_as = |version, token| {
+            Message::CheckoutRequest(CheckoutRequest {
+                version,
                 device_id: 0,
-                token: AuthToken::derive(0, 12345),
-            }),
-        );
-        assert!(matches!(
-            bad_token,
-            Message::Error(ErrorReply {
-                code: ErrorCode::Unauthorized,
-                ..
+                token,
             })
-        ));
-        let bad_version = roundtrip(
+        };
+        let reply = roundtrip(
             handle.addr(),
-            &Message::CheckoutRequest(CheckoutRequest {
-                version: 999,
-                device_id: 0,
-                token: AuthToken::derive(0, 99),
-            }),
+            &checkout_as(PROTOCOL_VERSION, AuthToken::derive(0, 12345)),
         );
-        assert!(matches!(
-            bad_version,
-            Message::Error(ErrorReply {
-                code: ErrorCode::BadRequest,
-                ..
-            })
-        ));
+        assert!(is_refusal(&reply, ErrorCode::Unauthorized), "{reply:?}");
+        let reply = roundtrip(handle.addr(), &checkout_as(999, AuthToken::derive(0, 99)));
+        assert!(is_refusal(&reply, ErrorCode::BadRequest), "{reply:?}");
         let batch = roundtrip(
             handle.addr(),
             &Message::BatchCheckinRequest(BatchCheckinRequest {
@@ -309,11 +325,123 @@ mod tests {
             Message::BatchCheckinAck(ack) => {
                 assert_eq!(ack.acks.len(), 3);
                 assert!(ack.acks[0].accepted);
+                assert_eq!(ack.acks[0].reject, None);
+                assert!(!ack.acks[1].accepted);
                 assert_eq!(ack.acks[1].reject, Some(ErrorCode::BadRequest));
+                assert!(!ack.acks[2].accepted);
                 assert_eq!(ack.acks[2].reject, Some(ErrorCode::Unauthorized));
             }
             other => panic!("unexpected reply {other:?}"),
         }
+        assert_eq!(handle.iteration(), 1);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn unexpected_message_type_is_bad_request() {
+        let (handle, _) = start_test_server();
+        let reply = roundtrip(
+            handle.addr(),
+            &Message::CheckinAck(CheckinAck {
+                accepted: true,
+                iteration: 0,
+                stopped: false,
+                deduped: false,
+            }),
+        );
+        assert!(is_refusal(&reply, ErrorCode::BadRequest), "{reply:?}");
+        handle.shutdown();
+    }
+
+    #[test]
+    fn exhausted_device_is_refused_checkout_and_checkin() {
+        let model = MulticlassLogistic::new(4, 3).unwrap();
+        let tokens = TokenRegistry::with_derived_tokens(4, 99);
+        // Two 0.6-ε checkins cross the 1.0 ceiling.
+        let config = ServerConfig::new().with_budget(0.6, 1.0);
+        let handle = ReactorServer::start(model, config, tokens).unwrap();
+        for step in 0..2u64 {
+            let reply = roundtrip(
+                handle.addr(),
+                &Message::CheckinRequest(checkin_item(1, 99, vec![0.1; 12])),
+            );
+            assert!(
+                matches!(reply, Message::CheckinAck(ack) if ack.accepted),
+                "checkin {step} should be accepted"
+            );
+        }
+        assert!(handle.budget_exhausted(1));
+        let refused_checkout = roundtrip(handle.addr(), &checkout(1));
+        assert!(is_refusal(&refused_checkout, ErrorCode::BudgetExhausted));
+        let refused_checkin = roundtrip(
+            handle.addr(),
+            &Message::CheckinRequest(checkin_item(1, 99, vec![0.1; 12])),
+        );
+        assert!(is_refusal(&refused_checkin, ErrorCode::BudgetExhausted));
+        // Device 2 is untouched.
+        assert!(!handle.budget_exhausted(2));
+        let ok = roundtrip(
+            handle.addr(),
+            &Message::CheckinRequest(checkin_item(2, 99, vec![0.1; 12])),
+        );
+        assert!(matches!(ok, Message::CheckinAck(ack) if ack.accepted));
+        assert_eq!(handle.budget_ledger(), vec![(1, 1.2), (2, 0.6)]);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn every_request_histogram_is_recorded() {
+        // One of each request type, then two scrapes: a scrape's own service
+        // time is recorded after its snapshot, so only the second sees the
+        // first. Every `req_*` histogram the server exports must be live.
+        let (handle, token) = start_test_server();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut exchange = |msg: Message| {
+            write_message(&mut stream, &msg).unwrap();
+            read_message(&mut stream).unwrap()
+        };
+        assert!(matches!(
+            exchange(checkout(0)),
+            Message::CheckoutResponse(_)
+        ));
+        let mut item = checkin_item(1, 99, vec![0.1; 12]);
+        item.nonce = 1;
+        assert!(matches!(
+            exchange(Message::CheckinRequest(item)),
+            Message::CheckinAck(ack) if ack.accepted
+        ));
+        let batch = Message::BatchCheckinRequest(BatchCheckinRequest {
+            items: vec![checkin_item(2, 99, vec![0.1; 12])],
+        });
+        assert!(matches!(exchange(batch), Message::BatchCheckinAck(_)));
+        let scrape = Message::MetricsRequest(MetricsRequest {
+            version: PROTOCOL_VERSION,
+            device_id: 0,
+            token,
+        });
+        assert!(matches!(
+            exchange(scrape.clone()),
+            Message::MetricsReport(_)
+        ));
+        let report = match exchange(scrape) {
+            Message::MetricsReport(report) => report,
+            other => panic!("unexpected reply {other:?}"),
+        };
+        let requests: Vec<_> = report
+            .histograms
+            .iter()
+            .filter(|h| h.name.starts_with("req_"))
+            .collect();
+        assert!(requests.len() >= 3, "{requests:?}");
+        for hist in requests {
+            assert!(hist.count >= 1, "{} was never recorded", hist.name);
+        }
+        let checkin = report
+            .histograms
+            .iter()
+            .find(|h| h.name == "checkin_latency_us")
+            .unwrap();
+        assert_eq!(checkin.count, 2, "the lone and the batched checkin");
         handle.shutdown();
     }
 
@@ -349,10 +477,10 @@ mod tests {
 
     #[test]
     fn full_queue_throttles_instead_of_busy() {
-        // Same saturation shape as the threaded server's busy test — but the
-        // reactor parks connections instead of replying Busy, and the parked
-        // checkins all resolve at the shutdown flush. Devices never see a
-        // Busy frame on this path.
+        // A 1-deep queue that nothing drains until shutdown: the reactor
+        // parks connections instead of replying Busy, and the parked checkins
+        // all resolve at the shutdown flush. Devices never see a Busy frame
+        // on this path.
         let model = MulticlassLogistic::new(4, 3).unwrap();
         let tokens = TokenRegistry::with_derived_tokens(4, 99);
         let config = ServerConfig::new().with_agg(crowd_core::config::AggSettings {
@@ -424,12 +552,19 @@ mod tests {
         let ledger_at_kill = handle.budget_ledger();
         handle.kill();
 
+        // A new server on the same data dir resumes exactly where the acked
+        // checkins left it: snapshot load + WAL tail replay.
         let handle = ReactorServer::start(model(), config, tokens()).unwrap();
         let report = handle.recovery_report().unwrap();
         assert!(report.recovered());
+        assert!(report.from_snapshot);
+        assert_eq!(report.replayed_epochs, 1);
         assert_eq!(handle.iteration(), 3);
         assert_eq!(handle.params().as_slice(), params_at_kill.as_slice());
         assert_eq!(handle.budget_ledger(), ledger_at_kill);
+        // And it keeps serving: a checkout sees the recovered iteration.
+        let reply = roundtrip(handle.addr(), &checkout(0));
+        assert!(matches!(reply, Message::CheckoutResponse(r) if r.iteration == 3));
         handle.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -456,5 +591,41 @@ mod tests {
         drop(stream);
         drop(second);
         handle.shutdown();
+    }
+
+    #[test]
+    fn shutdown_is_prompt_under_concurrent_connects() {
+        // Shutdown must complete promptly even while a client thread keeps
+        // opening connections (and holding a rolling window of idle ones) the
+        // whole time.
+        for _round in 0..5 {
+            let (handle, _token) = start_test_server();
+            let addr = handle.addr();
+            let hammer_stop = Arc::new(AtomicBool::new(false));
+            let hammer_flag = Arc::clone(&hammer_stop);
+            let hammer = std::thread::spawn(move || {
+                let mut opened = Vec::new();
+                while !hammer_flag.load(Ordering::SeqCst) {
+                    if let Ok(stream) = TcpStream::connect(addr) {
+                        opened.push(stream);
+                        if opened.len() > 8 {
+                            opened.remove(0);
+                        }
+                    }
+                }
+            });
+            // Bound the wait with a channel timeout (no wallclock reads).
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let closer = std::thread::spawn(move || {
+                handle.shutdown();
+                let _ = done_tx.send(());
+            });
+            done_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("shutdown stalled behind concurrent client connects");
+            hammer_stop.store(true, Ordering::SeqCst);
+            let _ = hammer.join();
+            let _ = closer.join();
+        }
     }
 }

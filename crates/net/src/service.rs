@@ -1,15 +1,13 @@
-//! Transport-independent request handling shared by the threaded
-//! [`crate::server::NetServer`] and the event-driven
-//! [`crate::reactor_server::ReactorServer`].
+//! Request handling for [`crate::reactor_server::ReactorServer`], kept apart
+//! from the socket layer.
 //!
-//! Both servers authenticate against the same [`TokenRegistry`], serve the
-//! same [`AggRuntime`], and produce byte-identical replies; only the I/O model
-//! differs. The blocking entry point ([`ServerCore::handle_message`]) waits
-//! for checkin completions inline; the event entry point ([`handle_event`])
-//! maps the same requests onto [`crowd_reactor::Response`] so a reactor
-//! thread never blocks: checkouts answer immediately, checkin completions
-//! resolve on the completion pump, and a full ingest queue *parks* the
-//! connection (read throttling) instead of emitting a Busy reply.
+//! [`handle_event`] is the reactor's entry point and never blocks an event
+//! loop: checkouts, scrapes and refusals answer immediately through
+//! [`ServerCore::handle_message`], a lone checkin is admitted to the ingest
+//! queue and its ack resolves on the completion pump, a full ingest queue
+//! *parks* the connection (read throttling) instead of emitting a Busy reply,
+//! and round submissions and batches run on the pump. Inside a batch, an item
+//! the queue cannot take is still acknowledged per item with `Busy`.
 
 use crowd_agg::{AggError, AggRuntime, CompletionHandle, RoundSubmitOutcome, SubmitRejection};
 use crowd_core::device::CheckinPayload;
@@ -26,10 +24,9 @@ use crowd_telemetry::{CounterId, HistogramId, MetricsSnapshot, Registry};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How long a blocking handler (or the completion pump) waits for a queued
-/// checkin's epoch to be applied before reporting an internal error. Epochs
-/// close on `epoch_size` or the idle flush, so in practice this bound is
-/// never approached.
+/// How long the completion pump waits for a queued checkin's epoch to be
+/// applied before reporting an internal error. Epochs close on `epoch_size`
+/// or the idle flush, so in practice this bound is never approached.
 pub(crate) const CHECKIN_WAIT: Duration = Duration::from_secs(30);
 
 /// Server state shared by every connection, independent of transport.
@@ -56,13 +53,13 @@ impl ServerCore {
         }
     }
 
-    /// Handles one request, blocking until the reply is known. Used by the
-    /// thread-per-connection server and (for batch requests) the reactor's
-    /// completion pump. Request latency is recorded per message type.
+    /// Handles a checkout, batch checkin, scrape or unexpected message,
+    /// blocking until the reply is known (batches run on the completion
+    /// pump). Lone checkins never come here: [`handle_event`] answers them.
+    /// Request latency is recorded per message type.
     pub(crate) fn handle_message(&self, message: Message) -> Message {
         let hist = match &message {
             Message::CheckoutRequest(_) => Some(HistogramId::ReqCheckoutUs),
-            Message::CheckinRequest(_) => Some(HistogramId::ReqCheckinUs),
             Message::BatchCheckinRequest(_) => Some(HistogramId::ReqBatchCheckinUs),
             Message::MetricsRequest(_) => Some(HistogramId::ReqMetricsUs),
             _ => None,
@@ -107,26 +104,6 @@ impl ServerCore {
                     stopped: snapshot.stopped,
                     round: self.round_params(),
                 })
-            }
-            Message::CheckinRequest(req) => {
-                if !self.tokens.verify(req.device_id, &req.token) {
-                    return error_reply(ErrorCode::Unauthorized, "unknown device or bad token");
-                }
-                note_gradient_encoding(&self.metrics, &req.gradient);
-                if req.round_id != 0 {
-                    return self.round_checkin(req);
-                }
-                let payload = match payload_of(req) {
-                    Ok(p) => p,
-                    Err(reply) => return *reply,
-                };
-                match self.runtime.submit(payload) {
-                    Ok(handle) => match wait_ack(handle) {
-                        Ok(ack) => Message::CheckinAck(ack),
-                        Err(reply) => *reply,
-                    },
-                    Err(e) => agg_error_reply(e),
-                }
             }
             Message::BatchCheckinRequest(req) => {
                 // Admit every item before waiting on any of them, so a batch
@@ -267,8 +244,9 @@ pub(crate) fn metrics_report(snap: &MetricsSnapshot) -> MetricsReport {
 ///
 /// * Checkouts (and malformed traffic) answer inline — they only clone the
 ///   epoch snapshot.
-/// * Checkins are admitted to the ingest queue here; the wait for the applied
-///   epoch becomes a [`Response::Pending`] closure on the completion pump.
+/// * Lone checkins are admitted to the ingest queue here, their only entry
+///   point; the wait for the applied epoch becomes a [`Response::Pending`]
+///   closure on the completion pump. Round submissions run on the pump.
 /// * A full queue becomes [`Response::Throttle`]: the payload is parked (the
 ///   decoded request is handed back by the runtime) and re-admission is
 ///   probed by the reactor while the connection's reads stay disarmed. The

@@ -266,7 +266,7 @@ pub struct MetricsRequest {
 /// paper's scalability claims cite).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramReport {
-    /// Metric name (unit suffix included, e.g. `req_checkin_us`).
+    /// Metric name (unit suffix included, e.g. `req_checkout_us`).
     pub name: String,
     /// Number of recorded observations.
     pub count: u64,

@@ -124,8 +124,6 @@ metric_ids! {
         CheckinLatencyUs => "checkin_latency_us",
         /// Service time of a CheckoutRequest (net, µs).
         ReqCheckoutUs => "req_checkout_us",
-        /// Service time of a CheckinRequest (net, µs).
-        ReqCheckinUs => "req_checkin_us",
         /// Service time of a BatchCheckinRequest (net, µs).
         ReqBatchCheckinUs => "req_batch_checkin_us",
         /// Service time of a MetricsRequest scrape (net, µs).
@@ -450,10 +448,10 @@ mod tests {
         let reg = Registry::with_clock(Clock::logical());
         let start = reg.start();
         reg.clock().advance(40);
-        let elapsed = reg.observe_since(HistogramId::ReqCheckinUs, start);
+        let elapsed = reg.observe_since(HistogramId::ReqCheckoutUs, start);
         assert_eq!(elapsed, 40);
         let snap = reg.snapshot();
-        assert_eq!(snap.histogram("req_checkin_us").unwrap().count(), 1);
+        assert_eq!(snap.histogram("req_checkout_us").unwrap().count(), 1);
         assert!(snap.logical_clock());
     }
 

@@ -341,3 +341,30 @@ fn sequential_rounds_run_matches_pinned_digest() {
         "pinned parameter digests moved"
     );
 }
+
+/// Parity anchor for the TCP stack: the chaos driver's sequential, fault-free
+/// schedule against the reactor server ends in pinned parameter bits, free
+/// running and with cohort rounds. Any change to the serving path that
+/// reorders or alters an applied checkin fails here.
+#[test]
+fn fault_free_chaos_runs_match_pinned_digests() {
+    use crowd_ml::net::chaos::ChaosCluster;
+    use crowd_ml::sim::chaos::FaultPlan;
+
+    let free = ChaosCluster::new(FaultPlan::fault_free(17)).run().unwrap();
+    let rounds = ChaosCluster::new(FaultPlan::fault_free(17))
+        .with_rounds()
+        .run()
+        .unwrap();
+    for report in [&free, &rounds] {
+        assert_eq!(report.acked_checkins, vec![8, 8, 8, 8]);
+        assert_eq!(report.ledger, vec![(0, 2.0), (1, 2.0), (2, 2.0), (3, 2.0)]);
+        assert_eq!(report.total_samples, 96);
+    }
+    assert_eq!((free.iterations, rounds.iterations), (32, 17));
+    assert_eq!(
+        (params_digest(&free.params), params_digest(&rounds.params)),
+        (0xF78AA102F86577F0, 0xB6A8DF77314D5A41),
+        "pinned parameter digests moved"
+    );
+}

@@ -1,7 +1,8 @@
 //! Property-based tests (proptest) on the core invariants the paper's guarantees
 //! rest on: the gradient sensitivity bound behind Theorem 1, the projection of
-//! Eq. 3, the wire-codec round trip, partition coverage, and the counter
-//! mechanisms of Theorem 2.
+//! Eq. 3, the wire-codec round trip, partition coverage, the counter
+//! mechanisms of Theorem 2, and a model that no gradient bits can make
+//! non-finite.
 
 use crowd_ml::core::config::PrivacyConfig;
 use crowd_ml::core::privacy::Sanitizer;
@@ -392,6 +393,162 @@ proptest! {
         prop_assert_eq!(iter_a, 1, "the finalized round applies exactly one epoch");
         prop_assert_eq!(iter_a, iter_b);
         prop_assert_eq!(bits_a, bits_b);
+    }
+}
+
+/// An f64 from raw bits. `class` forces NaN (0), ±∞ (1), a positive value
+/// in the largest finite binade (2–5: two of those in one sum overflow),
+/// a subnormal (6), or keeps the raw pattern (7–15), so that each kind turns
+/// up often in a short sweep.
+fn f64_of_bits(bits: u64, class: u8) -> f64 {
+    let sign = bits & (1 << 63);
+    let mantissa = bits & 0x000F_FFFF_FFFF_FFFF;
+    match class {
+        0 => f64::from_bits(bits | 0x7FF0_0000_0000_0001),
+        1 => f64::from_bits(sign | 0x7FF0_0000_0000_0000),
+        2..=5 => f64::from_bits(0x7FE0_0000_0000_0000 | mantissa),
+        6 => f64::from_bits(sign | mantissa),
+        _ => f64::from_bits(bits),
+    }
+}
+
+proptest! {
+    // Each case runs a full aggregation runtime, so the sweep stays short.
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// No gradient bits a device can send leave a non-finite parameter
+    /// behind. Sixteen submissions from four devices carry arbitrary f64 bit
+    /// patterns in every encoding (dense values, sparse values, quantized
+    /// scale), on the checkin path (two checkins per epoch, so a sum of
+    /// finite gradients can overflow) and the round path (a cohort fold can
+    /// overflow too). Admission refuses exactly the non-finite submissions
+    /// and counts each in `nonfinite_rejections`; the ε ledger charges every
+    /// admitted submission once, whether or not its epoch could be applied.
+    #[test]
+    fn arbitrary_gradient_bits_never_corrupt_the_model(
+        words in prop::collection::vec(any::<u64>(), 96),
+        classes in prop::collection::vec(0u8..16, 96),
+        plan in prop::collection::vec((0u8..3, any::<bool>()), 16),
+    ) {
+        use crowd_ml::agg::{AggError, AggRuntime, RoundSubmitOutcome};
+        use crowd_ml::core::config::{AggSettings, RoundSettings, ServerConfig};
+        use crowd_ml::core::device::CheckinPayload;
+        use crowd_ml::core::server::Server;
+        use crowd_ml::linalg::{GradientUpdate, QuantizedVector, SparseVector};
+
+        const DEVICES: u64 = 4;
+        const EPSILON: f64 = 0.5;
+        let dim = 6usize;
+        let config = ServerConfig::new()
+            .with_budget(EPSILON, f64::INFINITY)
+            .with_agg(AggSettings {
+                shard_count: 2,
+                queue_bound: 64,
+                epoch_size: 2,
+                worker_threads: 1,
+                retry_after_ms: 1,
+                flush_idle_ms: 1,
+            })
+            .with_rounds(
+                RoundSettings::new(DEVICES)
+                    .with_select_fraction(1.0)
+                    .with_deadline_epochs(1_000_000),
+            );
+        let model = MulticlassLogistic::new(2, 3).unwrap();
+        let rt = AggRuntime::new(Server::new(model, config).unwrap()).unwrap();
+
+        let mut accepted = [0u64; DEVICES as usize];
+        let mut nonfinite = 0u64;
+        let mut in_round = [false; DEVICES as usize];
+        let mut pending = Vec::new();
+        for (j, &(encoding, round_path)) in plan.iter().enumerate() {
+            let device = j as u64 % DEVICES;
+            let values: Vec<f64> =
+                (j * dim..(j + 1) * dim).map(|i| f64_of_bits(words[i], classes[i])).collect();
+            let (gradient, finite) = match encoding {
+                0 => {
+                    let finite = values.iter().all(|v| v.is_finite());
+                    (GradientUpdate::Dense(Vector::from_vec(values)), finite)
+                }
+                1 => {
+                    let (indices, values): (Vec<u32>, Vec<f64>) = values
+                        .into_iter()
+                        .enumerate()
+                        .filter(|&(k, _)| words[j * dim + k] & 2 != 0)
+                        .map(|(k, v)| (k as u32, v))
+                        .unzip();
+                    let finite = values.iter().all(|v| v.is_finite());
+                    let sparse = SparseVector::new(dim, indices, values).unwrap();
+                    (GradientUpdate::Sparse(sparse), finite)
+                }
+                _ => {
+                    let scale = values[0];
+                    let levels: Vec<i16> =
+                        words[j * dim..(j + 1) * dim].iter().map(|w| (w >> 20) as i16).collect();
+                    let finite = levels.iter().all(|&l| (f64::from(l) * scale).is_finite());
+                    match QuantizedVector::from_parts(scale, levels) {
+                        Ok(q) => (GradientUpdate::Quantized(q), finite),
+                        // Such a scale cannot be decoded off the wire either.
+                        Err(_) => {
+                            prop_assert!(!(scale.is_finite() && scale >= 0.0), "scale {scale}");
+                            continue;
+                        }
+                    }
+                }
+            };
+            let payload = CheckinPayload {
+                device_id: device,
+                checkout_iteration: rt.iteration(),
+                nonce: j as u64 + 1,
+                gradient,
+                num_samples: 2,
+                error_count: 1,
+                label_counts: vec![1, 1, 0],
+            };
+            if !finite {
+                nonfinite += 1;
+            }
+            if round_path && !in_round[device as usize] {
+                let round_id = rt.round_info().unwrap().round_id;
+                match rt.submit_round(round_id, payload) {
+                    Ok(RoundSubmitOutcome::Acked(ack)) => {
+                        prop_assert!(finite && ack.accepted && !ack.deduped);
+                        accepted[device as usize] += 1;
+                        in_round[device as usize] = true;
+                    }
+                    Err(AggError::Invalid(_)) => prop_assert!(!finite),
+                    Ok(other) => panic!("unexpected round outcome {other:?}"),
+                    Err(e) => panic!("unexpected round refusal {e}"),
+                }
+                if rt.round_info().unwrap().round_id != round_id {
+                    in_round = [false; DEVICES as usize];
+                }
+            } else {
+                match rt.submit(payload) {
+                    Ok(handle) => {
+                        prop_assert!(finite);
+                        accepted[device as usize] += 1;
+                        pending.push(handle);
+                    }
+                    Err(AggError::Invalid(_)) => prop_assert!(!finite),
+                    Err(e) => panic!("unexpected checkin refusal {e}"),
+                }
+            }
+        }
+        for handle in pending {
+            handle.wait().unwrap();
+        }
+        rt.settle_rounds();
+        rt.shutdown();
+
+        let params = rt.params();
+        prop_assert!(params.iter().all(|v| v.is_finite()), "{params:?}");
+        prop_assert_eq!(rt.stats().get("nonfinite_rejections"), nonfinite);
+        let expected: Vec<(u64, f64)> = (0..DEVICES)
+            .filter(|&d| accepted[d as usize] > 0)
+            .map(|d| (d, EPSILON * accepted[d as usize] as f64))
+            .collect();
+        prop_assert_eq!(rt.budget_ledger(), expected);
     }
 }
 
