@@ -20,7 +20,7 @@ pub const PANIC_FREE_PATHS: &[&str] = &[
     "crates/proto/src/codec.rs",
     "crates/proto/src/frame.rs",
     "crates/proto/src/pool.rs",
-    "crates/net/src/service.rs",
+    "crates/net/src/server.rs",
     "crates/net/src/reactor_server.rs",
     "crates/reactor/src/",
     "crates/agg/src/runtime.rs",

@@ -29,7 +29,7 @@ pub mod cluster;
 pub mod driver;
 pub mod error;
 pub mod reactor_server;
-mod service;
+mod server;
 
 pub use chaos::{ChaosCluster, ChaosReport};
 pub use client::{CheckinOutcome, DeviceClient, DeviceClientBuilder, RetryPolicy, RoundSession};

@@ -450,3 +450,242 @@ pub(crate) fn round_outdated_reply(current_round: u64) -> Message {
         round_id: current_round,
     })
 }
+
+#[cfg(test)]
+mod tests {
+    //! The request handling above, driven over real TCP through the
+    //! [`ReactorServer`](crate::reactor_server::ReactorServer): checkout and
+    //! checkin replies, per-item batch acks, typed refusals, and recovery of
+    //! the served state after a kill.
+
+    use crate::reactor_server::{ReactorServer, ReactorServerHandle};
+    use crowd_core::config::ServerConfig;
+    use crowd_learning::MulticlassLogistic;
+    use crowd_proto::auth::{AuthToken, TokenRegistry};
+    use crowd_proto::frame::{read_message, write_message};
+    use crowd_proto::message::{
+        BatchCheckinRequest, CheckinAck, CheckinRequest, CheckoutRequest, ErrorCode, ErrorReply,
+        GradientPayload, Message,
+    };
+    use crowd_proto::PROTOCOL_VERSION;
+    use crowd_store::testutil::temp_dir;
+    use std::net::{SocketAddr, TcpStream};
+
+    fn start_test_server() -> (ReactorServerHandle, AuthToken) {
+        let model = MulticlassLogistic::new(4, 3).unwrap();
+        let tokens = TokenRegistry::with_derived_tokens(4, 99);
+        let handle = ReactorServer::start(model, ServerConfig::new(), tokens).unwrap();
+        (handle, AuthToken::derive(0, 99))
+    }
+
+    fn roundtrip(addr: SocketAddr, msg: &Message) -> Message {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write_message(&mut stream, msg).unwrap();
+        read_message(&mut stream).unwrap()
+    }
+
+    fn checkout(device_id: u64, version: u16, token: AuthToken) -> Message {
+        Message::CheckoutRequest(CheckoutRequest {
+            version,
+            device_id,
+            token,
+        })
+    }
+
+    fn checkin_item(device_id: u64, secret: u64, gradient: Vec<f64>) -> CheckinRequest {
+        CheckinRequest {
+            device_id,
+            token: AuthToken::derive(device_id, secret),
+            checkout_iteration: 0,
+            nonce: 0,
+            round_id: 0,
+            gradient: GradientPayload::Dense(gradient),
+            num_samples: 2,
+            error_count: 1,
+            label_counts: vec![1, 1, 0],
+        }
+    }
+
+    fn is_refusal(reply: &Message, code: ErrorCode) -> bool {
+        matches!(reply, Message::Error(ErrorReply { code: c, .. }) if *c == code)
+    }
+
+    #[test]
+    fn checkout_round_trip_over_tcp() {
+        let (handle, token) = start_test_server();
+        let reply = roundtrip(handle.addr(), &checkout(0, PROTOCOL_VERSION, token));
+        match reply {
+            Message::CheckoutResponse(r) => {
+                assert_eq!(r.iteration, 0);
+                assert_eq!(r.params.len(), 12);
+                assert!(!r.stopped);
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+        handle.shutdown();
+    }
+
+    #[test]
+    fn bad_token_and_bad_version_rejected() {
+        let (handle, token) = start_test_server();
+        let bad_token = roundtrip(
+            handle.addr(),
+            &checkout(0, PROTOCOL_VERSION, AuthToken::derive(0, 12345)),
+        );
+        assert!(
+            is_refusal(&bad_token, ErrorCode::Unauthorized),
+            "{bad_token:?}"
+        );
+        let bad_version = roundtrip(handle.addr(), &checkout(0, 999, token));
+        assert!(
+            is_refusal(&bad_version, ErrorCode::BadRequest),
+            "{bad_version:?}"
+        );
+        handle.shutdown();
+    }
+
+    #[test]
+    fn unexpected_message_type_is_bad_request() {
+        let (handle, _) = start_test_server();
+        let reply = roundtrip(
+            handle.addr(),
+            &Message::CheckinAck(CheckinAck {
+                accepted: true,
+                iteration: 0,
+                stopped: false,
+                deduped: false,
+            }),
+        );
+        assert!(is_refusal(&reply, ErrorCode::BadRequest), "{reply:?}");
+        handle.shutdown();
+    }
+
+    #[test]
+    fn checkin_over_tcp_applies_update() {
+        let (handle, _) = start_test_server();
+        let reply = roundtrip(
+            handle.addr(),
+            &Message::CheckinRequest(checkin_item(1, 99, vec![0.1; 12])),
+        );
+        match reply {
+            Message::CheckinAck(ack) => {
+                assert!(ack.accepted);
+                assert_eq!(ack.iteration, 1);
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+        assert_eq!(handle.iteration(), 1);
+        assert_eq!(handle.total_samples(), 2);
+        assert_eq!(handle.runtime_stats().get("checkins_applied"), 1);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn batch_checkin_from_colocated_devices() {
+        let (handle, _) = start_test_server();
+        // Devices 1–3 share a frame; device 3 carries a bad token, device 2 a
+        // malformed gradient — each item is judged independently.
+        let batch = Message::BatchCheckinRequest(BatchCheckinRequest {
+            items: vec![
+                checkin_item(1, 99, vec![0.1; 12]),
+                checkin_item(2, 99, vec![0.5; 3]),
+                checkin_item(3, 12345, vec![0.1; 12]),
+            ],
+        });
+        match roundtrip(handle.addr(), &batch) {
+            Message::BatchCheckinAck(ack) => {
+                assert_eq!(ack.acks.len(), 3);
+                assert!(ack.acks[0].accepted);
+                assert_eq!(ack.acks[0].reject, None);
+                assert!(!ack.acks[1].accepted);
+                assert_eq!(ack.acks[1].reject, Some(ErrorCode::BadRequest));
+                assert!(!ack.acks[2].accepted);
+                assert_eq!(ack.acks[2].reject, Some(ErrorCode::Unauthorized));
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+        assert_eq!(handle.iteration(), 1);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn exhausted_device_is_refused_checkout_and_checkin() {
+        let model = MulticlassLogistic::new(4, 3).unwrap();
+        let tokens = TokenRegistry::with_derived_tokens(4, 99);
+        // Two 0.6-ε checkins cross the 1.0 ceiling.
+        let config = ServerConfig::new().with_budget(0.6, 1.0);
+        let handle = ReactorServer::start(model, config, tokens).unwrap();
+        for step in 0..2u64 {
+            let reply = roundtrip(
+                handle.addr(),
+                &Message::CheckinRequest(checkin_item(1, 99, vec![0.1; 12])),
+            );
+            assert!(
+                matches!(reply, Message::CheckinAck(ack) if ack.accepted),
+                "checkin {step} should be accepted"
+            );
+        }
+        assert!(handle.budget_exhausted(1));
+        let refused_checkout = roundtrip(
+            handle.addr(),
+            &checkout(1, PROTOCOL_VERSION, AuthToken::derive(1, 99)),
+        );
+        assert!(is_refusal(&refused_checkout, ErrorCode::BudgetExhausted));
+        let refused_checkin = roundtrip(
+            handle.addr(),
+            &Message::CheckinRequest(checkin_item(1, 99, vec![0.1; 12])),
+        );
+        assert!(is_refusal(&refused_checkin, ErrorCode::BudgetExhausted));
+        // Device 2 is untouched.
+        assert!(!handle.budget_exhausted(2));
+        let ok = roundtrip(
+            handle.addr(),
+            &Message::CheckinRequest(checkin_item(2, 99, vec![0.1; 12])),
+        );
+        assert!(matches!(ok, Message::CheckinAck(ack) if ack.accepted));
+        assert_eq!(handle.budget_ledger(), vec![(1, 1.2), (2, 0.6)]);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn kill_and_restart_recovers_state_over_tcp() {
+        let dir = temp_dir("restart");
+        let config = ServerConfig::new()
+            .with_data_dir(&dir)
+            .with_snapshot_every(2)
+            .with_budget(0.25, f64::INFINITY);
+        let tokens = || TokenRegistry::with_derived_tokens(4, 99);
+        let model = || MulticlassLogistic::new(4, 3).unwrap();
+
+        let handle = ReactorServer::start(model(), config.clone(), tokens()).unwrap();
+        assert_eq!(handle.recovery_report().map(|r| r.recovered()), Some(false));
+        for step in 0..3u64 {
+            let mut item = checkin_item(step % 2, 99, vec![0.1; 12]);
+            item.nonce = step;
+            let reply = roundtrip(handle.addr(), &Message::CheckinRequest(item));
+            assert!(matches!(reply, Message::CheckinAck(ack) if ack.accepted));
+        }
+        let params_at_kill = handle.params();
+        let ledger_at_kill = handle.budget_ledger();
+        handle.kill();
+
+        // A new server on the same data dir resumes exactly where the acked
+        // checkins left it: snapshot load + WAL tail replay.
+        let handle = ReactorServer::start(model(), config, tokens()).unwrap();
+        let report = handle.recovery_report().unwrap();
+        assert!(report.recovered());
+        assert!(report.from_snapshot);
+        assert_eq!(report.replayed_epochs, 1);
+        assert_eq!(handle.iteration(), 3);
+        assert_eq!(handle.params().as_slice(), params_at_kill.as_slice());
+        assert_eq!(handle.budget_ledger(), ledger_at_kill);
+        // And it keeps serving: a checkout sees the recovered iteration.
+        let reply = roundtrip(
+            handle.addr(),
+            &checkout(0, PROTOCOL_VERSION, AuthToken::derive(0, 99)),
+        );
+        assert!(matches!(reply, Message::CheckoutResponse(r) if r.iteration == 3));
+        handle.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
